@@ -1,0 +1,71 @@
+//go:build !race
+
+package rchdroid_test
+
+import (
+	"testing"
+	"time"
+
+	"rchdroid/internal/app"
+	"rchdroid/internal/benchapp"
+	"rchdroid/internal/bundle"
+	"rchdroid/internal/device"
+	"rchdroid/internal/experiments"
+	"rchdroid/internal/oracle"
+	"rchdroid/internal/view"
+)
+
+// TestAllocBudget is the allocation gate on the state-transfer and
+// dispatch hot path. Allocation counts are deterministic, so each
+// ceiling is the measured count plus a little headroom: a change that
+// adds allocations to one of these paths fails here and must either
+// remove them or raise the ceiling on purpose. The race runtime
+// allocates on its own schedule, hence the build tag.
+func TestAllocBudget(t *testing.T) {
+	oracleSpec := device.Spec{App: func() *app.App { return oracle.OracleApp(4) }}
+	tpl, err := device.NewTemplate(oracleSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := view.NewDecorView(1)
+	for i := 0; i < 64; i++ {
+		root.AddChild(view.NewEditText(view.ID(10+i), "content"))
+	}
+	rig := experiments.NewRig(benchapp.New(benchapp.Config{Images: 8, TaskDelay: time.Hour}), experiments.ModeRCHDroid)
+	var seed uint64
+
+	cases := []struct {
+		name    string
+		ceiling float64
+		fn      func()
+	}{
+		{"bundle save+restore, 64 views", 272, func() {
+			state := bundle.New()
+			root.SaveState(state)
+			root.RestoreState(state)
+		}},
+		{"Rig.Rotate", 124, func() {
+			if _, err := rig.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"device.New, oracle spec", 132, func() {
+			seed++
+			device.New(oracleSpec, seed, nil)
+		}},
+		{"Template.Fork, oracle spec", 54, func() {
+			seed++
+			if _, err := tpl.Fork(seed, nil); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		c.fn() // warm lazily built state (cached view keys, slice capacity)
+		got := testing.AllocsPerRun(100, c.fn)
+		t.Logf("%s: %.0f allocs (ceiling %.0f)", c.name, got, c.ceiling)
+		if got > c.ceiling {
+			t.Errorf("%s: %.0f allocs, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}

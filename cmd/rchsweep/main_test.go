@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -206,7 +207,8 @@ func TestBenchWorkerCurve(t *testing.T) {
 // stop claiming seeds, flush the metrics artifact anyway, print resume
 // coordinates, and exit non-zero. The seed count is far larger than the
 // walk can finish before the signal lands (we wait for the first
-// progress line before firing).
+// progress line that reports a finished seed before firing; an earlier
+// tick can print 0/50000 before any worker has claimed a seed).
 func TestSignalInterruptsSweep(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.json")
@@ -217,7 +219,8 @@ func TestSignalInterruptsSweep(t *testing.T) {
 		codeCh <- run([]string{"-mode=oracle", "-seeds=50000", "-progress=1ms", "-metrics-out=" + metrics}, &out, &errOut)
 	}()
 	deadline := time.Now().Add(30 * time.Second)
-	for !strings.Contains(errOut.String(), "progress: ") {
+	started := regexp.MustCompile(`progress: [1-9]`)
+	for !started.MatchString(errOut.String()) {
 		if time.Now().After(deadline) {
 			t.Fatal("sweep never reported progress")
 		}

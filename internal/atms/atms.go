@@ -141,6 +141,10 @@ func (a *ATMS) HandlingTimes() []time.Duration {
 	return out
 }
 
+// HandlingCount returns how many runtime changes have completed, without
+// copying their latencies.
+func (a *ATMS) HandlingCount() int { return len(a.handlingTimes) }
+
 // LastHandlingTime returns the latency of the most recent completed
 // runtime change, or 0.
 func (a *ATMS) LastHandlingTime() time.Duration {

@@ -8,7 +8,8 @@ package bundle
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -50,38 +51,80 @@ func (k Kind) String() string {
 	}
 }
 
+// entry is one key/value pair. Scalars share one word (an int, a
+// float's bits or a bool as 0/1) and strings their own field, so the
+// common kinds never allocate; slices and nested bundles go in ref.
 type entry struct {
-	kind    Kind
-	str     string
-	num     int64
-	flt     float64
-	boolean bool
-	strs    []string
-	ints    []int64
-	nested  *Bundle
+	key  string
+	str  string
+	ref  any // []string, []int64 or *Bundle
+	word int64
+	kind Kind
 }
 
-// Bundle is a typed key/value map. The zero value is not usable; call New.
-// Reads on a nil *Bundle are safe and see an empty bundle (a missing
-// nested section reads as all-defaults, like a corrupted parcel).
+func (e *entry) float() float64  { return math.Float64frombits(uint64(e.word)) }
+func (e *entry) boolean() bool   { return e.word != 0 }
+func (e *entry) strs() []string  { return e.ref.([]string) }
+func (e *entry) ints() []int64   { return e.ref.([]int64) }
+func (e *entry) nested() *Bundle { return e.ref.(*Bundle) }
+
+// Bundle is a typed key/value map. Create one with New. Reads on a nil
+// *Bundle are safe and see an empty bundle (a missing nested section
+// reads as all-defaults, like a corrupted parcel).
 // Bundles are not safe for concurrent use — like the Android original they
 // live on a single (virtual) UI thread.
 type Bundle struct {
-	m map[string]entry
+	// entries is sorted by key, so iteration is deterministic without a
+	// sort and two bundles compare in one linear walk.
+	entries []entry
 }
 
 // New returns an empty Bundle.
 func New() *Bundle {
-	return &Bundle{m: make(map[string]entry)}
+	return &Bundle{}
+}
+
+// find returns the index of key, or the index it would be inserted at.
+func (b *Bundle) find(key string) (int, bool) {
+	lo, hi := 0, len(b.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.entries[mid].key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(b.entries) && b.entries[lo].key == key
 }
 
 // lookup returns the entry under key; safe on a nil receiver.
-func (b *Bundle) lookup(key string) (entry, bool) {
+func (b *Bundle) lookup(key string) *entry {
 	if b == nil {
-		return entry{}, false
+		return nil
 	}
-	e, ok := b.m[key]
-	return e, ok
+	if i, ok := b.find(key); ok {
+		return &b.entries[i]
+	}
+	return nil
+}
+
+// put stores e under e.key, replacing any existing value. Keys arriving
+// in ascending order (a view tree saved in id order) append.
+func (b *Bundle) put(e entry) {
+	n := len(b.entries)
+	if n == 0 || b.entries[n-1].key < e.key {
+		b.entries = append(b.entries, e)
+		return
+	}
+	i, ok := b.find(e.key)
+	if ok {
+		b.entries[i] = e
+		return
+	}
+	b.entries = append(b.entries, entry{})
+	copy(b.entries[i+1:], b.entries[i:])
+	b.entries[i] = e
 }
 
 // Len returns the number of keys, not counting keys inside nested bundles.
@@ -89,7 +132,7 @@ func (b *Bundle) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.m)
+	return len(b.entries)
 }
 
 // IsEmpty reports whether the bundle holds no keys.
@@ -100,106 +143,122 @@ func (b *Bundle) Keys() []string {
 	if b == nil {
 		return nil
 	}
-	keys := make([]string, 0, len(b.m))
-	for k := range b.m {
-		keys = append(keys, k)
+	keys := make([]string, len(b.entries))
+	for i := range b.entries {
+		keys[i] = b.entries[i].key
 	}
-	sort.Strings(keys)
 	return keys
 }
 
 // Has reports whether key is present with any kind.
-func (b *Bundle) Has(key string) bool {
-	_, ok := b.lookup(key)
-	return ok
-}
+func (b *Bundle) Has(key string) bool { return b.lookup(key) != nil }
 
 // KindOf returns the kind stored under key, or KindInvalid if absent.
 func (b *Bundle) KindOf(key string) Kind {
-	e, _ := b.lookup(key)
-	return e.kind
+	if e := b.lookup(key); e != nil {
+		return e.kind
+	}
+	return KindInvalid
 }
 
 // Remove deletes key if present.
-func (b *Bundle) Remove(key string) { delete(b.m, key) }
+func (b *Bundle) Remove(key string) {
+	if i, ok := b.find(key); ok {
+		last := len(b.entries) - 1
+		copy(b.entries[i:], b.entries[i+1:])
+		b.entries[last] = entry{}
+		b.entries = b.entries[:last]
+	}
+}
 
 // Clear removes all keys.
-func (b *Bundle) Clear() { b.m = make(map[string]entry) }
+func (b *Bundle) Clear() {
+	clear(b.entries)
+	b.entries = b.entries[:0]
+}
+
+// get returns the entry under key when it holds kind k.
+func (b *Bundle) get(key string, k Kind) *entry {
+	if e := b.lookup(key); e != nil && e.kind == k {
+		return e
+	}
+	return nil
+}
 
 // PutString stores a string value.
-func (b *Bundle) PutString(key, v string) { b.m[key] = entry{kind: KindString, str: v} }
+func (b *Bundle) PutString(key, v string) { b.put(entry{key: key, kind: KindString, str: v}) }
 
 // GetString returns the string under key, or def if absent or mistyped.
 func (b *Bundle) GetString(key, def string) string {
-	if e, ok := b.lookup(key); ok && e.kind == KindString {
+	if e := b.get(key, KindString); e != nil {
 		return e.str
 	}
 	return def
 }
 
 // PutInt stores an integer value.
-func (b *Bundle) PutInt(key string, v int64) { b.m[key] = entry{kind: KindInt, num: v} }
+func (b *Bundle) PutInt(key string, v int64) { b.put(entry{key: key, kind: KindInt, word: v}) }
 
 // GetInt returns the integer under key, or def if absent or mistyped.
 func (b *Bundle) GetInt(key string, def int64) int64 {
-	if e, ok := b.lookup(key); ok && e.kind == KindInt {
-		return e.num
+	if e := b.get(key, KindInt); e != nil {
+		return e.word
 	}
 	return def
 }
 
 // PutFloat stores a float value.
-func (b *Bundle) PutFloat(key string, v float64) { b.m[key] = entry{kind: KindFloat, flt: v} }
+func (b *Bundle) PutFloat(key string, v float64) {
+	b.put(entry{key: key, kind: KindFloat, word: int64(math.Float64bits(v))})
+}
 
 // GetFloat returns the float under key, or def if absent or mistyped.
 func (b *Bundle) GetFloat(key string, def float64) float64 {
-	if e, ok := b.lookup(key); ok && e.kind == KindFloat {
-		return e.flt
+	if e := b.get(key, KindFloat); e != nil {
+		return e.float()
 	}
 	return def
 }
 
 // PutBool stores a boolean value.
-func (b *Bundle) PutBool(key string, v bool) { b.m[key] = entry{kind: KindBool, boolean: v} }
+func (b *Bundle) PutBool(key string, v bool) {
+	var w int64
+	if v {
+		w = 1
+	}
+	b.put(entry{key: key, kind: KindBool, word: w})
+}
 
 // GetBool returns the boolean under key, or def if absent or mistyped.
 func (b *Bundle) GetBool(key string, def bool) bool {
-	if e, ok := b.lookup(key); ok && e.kind == KindBool {
-		return e.boolean
+	if e := b.get(key, KindBool); e != nil {
+		return e.boolean()
 	}
 	return def
 }
 
 // PutStringSlice stores a copy of a string slice.
 func (b *Bundle) PutStringSlice(key string, v []string) {
-	cp := make([]string, len(v))
-	copy(cp, v)
-	b.m[key] = entry{kind: KindStringSlice, strs: cp}
+	b.put(entry{key: key, kind: KindStringSlice, ref: append([]string{}, v...)})
 }
 
 // GetStringSlice returns a copy of the slice under key, or nil if absent.
 func (b *Bundle) GetStringSlice(key string) []string {
-	if e, ok := b.lookup(key); ok && e.kind == KindStringSlice {
-		cp := make([]string, len(e.strs))
-		copy(cp, e.strs)
-		return cp
+	if e := b.get(key, KindStringSlice); e != nil {
+		return append([]string{}, e.strs()...)
 	}
 	return nil
 }
 
 // PutIntSlice stores a copy of an int64 slice.
 func (b *Bundle) PutIntSlice(key string, v []int64) {
-	cp := make([]int64, len(v))
-	copy(cp, v)
-	b.m[key] = entry{kind: KindIntSlice, ints: cp}
+	b.put(entry{key: key, kind: KindIntSlice, ref: append([]int64{}, v...)})
 }
 
 // GetIntSlice returns a copy of the slice under key, or nil if absent.
 func (b *Bundle) GetIntSlice(key string) []int64 {
-	if e, ok := b.lookup(key); ok && e.kind == KindIntSlice {
-		cp := make([]int64, len(e.ints))
-		copy(cp, e.ints)
-		return cp
+	if e := b.get(key, KindIntSlice); e != nil {
+		return append([]int64{}, e.ints()...)
 	}
 	return nil
 }
@@ -207,31 +266,35 @@ func (b *Bundle) GetIntSlice(key string) []int64 {
 // PutBundle stores a nested bundle. The nested bundle is stored by
 // reference, matching Android; callers that need isolation should store a
 // Clone.
-func (b *Bundle) PutBundle(key string, v *Bundle) { b.m[key] = entry{kind: KindBundle, nested: v} }
+func (b *Bundle) PutBundle(key string, v *Bundle) { b.put(entry{key: key, kind: KindBundle, ref: v}) }
 
 // GetBundle returns the nested bundle under key, or nil if absent.
 func (b *Bundle) GetBundle(key string) *Bundle {
-	if e, ok := b.lookup(key); ok && e.kind == KindBundle {
-		return e.nested
+	if e := b.get(key, KindBundle); e != nil {
+		return e.nested()
 	}
 	return nil
+}
+
+// deepCopy returns e with its slice or nested bundle copied.
+func (e entry) deepCopy() entry {
+	switch e.kind {
+	case KindStringSlice:
+		e.ref = append([]string{}, e.strs()...)
+	case KindIntSlice:
+		e.ref = append([]int64{}, e.ints()...)
+	case KindBundle:
+		e.ref = e.nested().Clone()
+	}
+	return e
 }
 
 // Clone returns a deep copy of the bundle; nested bundles and slices are
 // copied recursively.
 func (b *Bundle) Clone() *Bundle {
-	out := New()
-	for k, e := range b.m {
-		switch e.kind {
-		case KindStringSlice:
-			out.PutStringSlice(k, e.strs)
-		case KindIntSlice:
-			out.PutIntSlice(k, e.ints)
-		case KindBundle:
-			out.PutBundle(k, e.nested.Clone())
-		default:
-			out.m[k] = e
-		}
+	out := &Bundle{entries: make([]entry, len(b.entries))}
+	for i, e := range b.entries {
+		out.entries[i] = e.deepCopy()
 	}
 	return out
 }
@@ -242,17 +305,8 @@ func (b *Bundle) Merge(other *Bundle) {
 	if other == nil {
 		return
 	}
-	for k, e := range other.m {
-		switch e.kind {
-		case KindStringSlice:
-			b.PutStringSlice(k, e.strs)
-		case KindIntSlice:
-			b.PutIntSlice(k, e.ints)
-		case KindBundle:
-			b.PutBundle(k, e.nested.Clone())
-		default:
-			b.m[k] = e
-		}
+	for _, e := range other.entries {
+		b.put(e.deepCopy())
 	}
 }
 
@@ -261,19 +315,20 @@ func (b *Bundle) Merge(other *Bundle) {
 func (b *Bundle) SizeBytes() int {
 	const entryOverhead = 16
 	total := 0
-	for k, e := range b.m {
-		total += len(k) + entryOverhead
+	for i := range b.entries {
+		e := &b.entries[i]
+		total += len(e.key) + entryOverhead
 		switch e.kind {
 		case KindString:
 			total += len(e.str)
 		case KindStringSlice:
-			for _, s := range e.strs {
+			for _, s := range e.strs() {
 				total += len(s) + 8
 			}
 		case KindIntSlice:
-			total += 8 * len(e.ints)
+			total += 8 * len(e.ints())
 		case KindBundle:
-			total += e.nested.SizeBytes()
+			total += e.nested().SizeBytes()
 		default:
 			total += 8
 		}
@@ -287,12 +342,12 @@ func (b *Bundle) Equal(other *Bundle) bool {
 	if b == nil || other == nil {
 		return b == other
 	}
-	if len(b.m) != len(other.m) {
+	if len(b.entries) != len(other.entries) {
 		return false
 	}
-	for k, e := range b.m {
-		o, ok := other.m[k]
-		if !ok || o.kind != e.kind {
+	for i := range b.entries {
+		e, o := &b.entries[i], &other.entries[i]
+		if e.key != o.key || e.kind != o.kind {
 			return false
 		}
 		switch e.kind {
@@ -300,38 +355,24 @@ func (b *Bundle) Equal(other *Bundle) bool {
 			if e.str != o.str {
 				return false
 			}
-		case KindInt:
-			if e.num != o.num {
+		case KindInt, KindBool:
+			if e.word != o.word {
 				return false
 			}
 		case KindFloat:
-			if e.flt != o.flt {
-				return false
-			}
-		case KindBool:
-			if e.boolean != o.boolean {
+			if e.float() != o.float() {
 				return false
 			}
 		case KindStringSlice:
-			if len(e.strs) != len(o.strs) {
+			if !slices.Equal(e.strs(), o.strs()) {
 				return false
-			}
-			for i := range e.strs {
-				if e.strs[i] != o.strs[i] {
-					return false
-				}
 			}
 		case KindIntSlice:
-			if len(e.ints) != len(o.ints) {
+			if !slices.Equal(e.ints(), o.ints()) {
 				return false
 			}
-			for i := range e.ints {
-				if e.ints[i] != o.ints[i] {
-					return false
-				}
-			}
 		case KindBundle:
-			if !e.nested.Equal(o.nested) {
+			if !e.nested().Equal(o.nested()) {
 				return false
 			}
 		}
@@ -343,26 +384,26 @@ func (b *Bundle) Equal(other *Bundle) bool {
 func (b *Bundle) String() string {
 	var sb strings.Builder
 	sb.WriteByte('{')
-	for i, k := range b.Keys() {
+	for i := range b.Len() {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		e := b.m[k]
+		e := &b.entries[i]
 		switch e.kind {
 		case KindString:
-			fmt.Fprintf(&sb, "%s=%q", k, e.str)
+			fmt.Fprintf(&sb, "%s=%q", e.key, e.str)
 		case KindInt:
-			fmt.Fprintf(&sb, "%s=%d", k, e.num)
+			fmt.Fprintf(&sb, "%s=%d", e.key, e.word)
 		case KindFloat:
-			fmt.Fprintf(&sb, "%s=%g", k, e.flt)
+			fmt.Fprintf(&sb, "%s=%g", e.key, e.float())
 		case KindBool:
-			fmt.Fprintf(&sb, "%s=%t", k, e.boolean)
+			fmt.Fprintf(&sb, "%s=%t", e.key, e.boolean())
 		case KindStringSlice:
-			fmt.Fprintf(&sb, "%s=%q", k, e.strs)
+			fmt.Fprintf(&sb, "%s=%q", e.key, e.strs())
 		case KindIntSlice:
-			fmt.Fprintf(&sb, "%s=%v", k, e.ints)
+			fmt.Fprintf(&sb, "%s=%v", e.key, e.ints())
 		case KindBundle:
-			fmt.Fprintf(&sb, "%s=%s", k, e.nested.String())
+			fmt.Fprintf(&sb, "%s=%s", e.key, e.nested().String())
 		}
 	}
 	sb.WriteByte('}')

@@ -149,6 +149,37 @@ func TestForkMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestForkSavesLikeFresh pins saved state across the fork: a forked
+// tree (whose views may carry section keys cached by the template's
+// own saves) saves a bundle Equal to, and rendering byte-identically
+// with, a freshly built tree's — before and after a runtime change.
+func TestForkSavesLikeFresh(t *testing.T) {
+	tpl, err := device.NewTemplate(forkSpec())
+	if err != nil {
+		t.Fatalf("template: %v", err)
+	}
+	forked, err := tpl.Fork(5, nil)
+	if err != nil {
+		t.Fatalf("fork: %v", err)
+	}
+	fresh := device.New(forkSpec(), 5, nil)
+	save := func(w *device.World) *bundle.Bundle {
+		fg := w.Proc.Thread().ForegroundActivity()
+		if fg == nil {
+			t.Fatal("no foreground activity")
+		}
+		return fg.SaveInstanceState()
+	}
+	for step := 0; step < 2; step++ {
+		a, b := save(forked), save(fresh)
+		if a.IsEmpty() || !a.Equal(b) || a.String() != b.String() {
+			t.Fatalf("step %d: fork saved\n%s\nfresh saved\n%s", step, a, b)
+		}
+		rotate(forked)
+		rotate(fresh)
+	}
+}
+
 // TestTemplateCacheFallback pins the cache's honesty: a key is built
 // once, and a second key with the same spec shares nothing with it.
 func TestTemplateCacheFallback(t *testing.T) {

@@ -29,12 +29,15 @@ func (l *Looper) Fork(sched *sim.Scheduler) (*Looper, error) {
 	case l.fault != nil:
 		return nil, fmt.Errorf("looper %s: fork with fault injector armed", l.name)
 	}
-	return &Looper{
+	out := &Looper{
 		name:      l.name,
 		sched:     sched,
 		seq:       l.seq,
 		busyUntil: l.busyUntil,
 		totalBusy: l.totalBusy,
 		processed: l.processed,
-	}, nil
+		pumpName:  l.pumpName,
+	}
+	out.pumpFn = out.dispatch
+	return out, nil
 }

@@ -89,6 +89,11 @@ type Looper struct {
 	current   *Message
 	fault     FaultInjector
 
+	// pumpName and pumpFn are the wakeup event's name and body, built
+	// once so re-arming the pump allocates nothing but the event.
+	pumpName string
+	pumpFn   func()
+
 	// onDispatch, if set, observes every completed dispatch with its
 	// total occupancy (cost plus charges plus stalls). The guard's
 	// ANR-style watchdog hangs off this seam.
@@ -106,7 +111,9 @@ type Looper struct {
 
 // New returns a looper named name driving its messages on sched.
 func New(sched *sim.Scheduler, name string) *Looper {
-	return &Looper{name: name, sched: sched}
+	l := &Looper{name: name, sched: sched, pumpName: name + ":pump"}
+	l.pumpFn = l.dispatch
+	return l
 }
 
 // Name returns the looper's label.
@@ -243,7 +250,7 @@ func (l *Looper) schedulePump() {
 		}
 		l.sched.Cancel(l.pump)
 	}
-	l.pump = l.sched.At(at, l.name+":pump", l.dispatch)
+	l.pump = l.sched.At(at, l.pumpName, l.pumpFn)
 }
 
 // dispatch runs the first eligible message at the current instant and
@@ -258,13 +265,17 @@ func (l *Looper) dispatch() {
 		l.schedulePump()
 		return
 	}
-	// Pop the first non-cancelled eligible message.
+	// Pop the first non-cancelled eligible message, shifting the queue
+	// in place so insert reuses its backing array.
 	for len(l.queue) > 0 {
 		m := l.queue[0]
 		if m.When > now {
 			break
 		}
-		l.queue = l.queue[1:]
+		last := len(l.queue) - 1
+		copy(l.queue, l.queue[1:])
+		l.queue[last] = nil
+		l.queue = l.queue[:last]
 		if m.cancelled {
 			continue
 		}

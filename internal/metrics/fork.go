@@ -1,20 +1,12 @@
 package metrics
 
-import (
-	"time"
-
-	"rchdroid/internal/sim"
-)
+import "rchdroid/internal/sim"
 
 // Clone returns an independent meter with the same window and accumulated
 // busy slots. Used by the device fork facility so a forked process's CPU
 // accounting continues exactly where the template's stopped.
 func (c *CPUMeter) Clone() *CPUMeter {
-	busy := make(map[int64]time.Duration, len(c.busy))
-	for k, v := range c.busy {
-		busy[k] = v
-	}
-	return &CPUMeter{window: c.window, busy: busy, maxSlot: c.maxSlot}
+	return &CPUMeter{window: c.window, busy: append([]slotBusy(nil), c.busy...)}
 }
 
 // Clone returns an independent meter stamping future samples with sched's

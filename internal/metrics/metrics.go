@@ -99,9 +99,17 @@ func (r *Recorder) Names() []string {
 // CPUMeter aggregates looper busy time into fixed windows and reports the
 // per-window utilisation percentage, reproducing the profiler's CPU trace.
 type CPUMeter struct {
-	window  time.Duration
-	busy    map[int64]time.Duration
-	maxSlot int64
+	window time.Duration
+	// busy holds the busy time of every window that saw work, sorted by
+	// slot. A looper reports in time order, so OnBusy almost always
+	// updates or appends the last pair.
+	busy []slotBusy
+}
+
+// slotBusy is the busy time accumulated in window number slot.
+type slotBusy struct {
+	slot int64
+	busy time.Duration
 }
 
 // NewCPUMeter returns a meter with the given window size.
@@ -109,7 +117,7 @@ func NewCPUMeter(window time.Duration) *CPUMeter {
 	if window <= 0 {
 		window = 10 * time.Millisecond
 	}
-	return &CPUMeter{window: window, busy: make(map[int64]time.Duration)}
+	return &CPUMeter{window: window}
 }
 
 // Window returns the configured window size.
@@ -126,28 +134,60 @@ func (c *CPUMeter) OnBusy(start sim.Time, cost time.Duration, _ string) {
 		if t+chunk > slotEnd {
 			chunk = slotEnd - t
 		}
-		c.busy[slot] += chunk
-		if slot > c.maxSlot {
-			c.maxSlot = slot
-		}
+		c.add(slot, chunk)
 		t += chunk
 		cost -= chunk
 	}
 }
 
+// add accumulates d into slot's window.
+func (c *CPUMeter) add(slot int64, d time.Duration) {
+	n := len(c.busy)
+	if n == 0 || c.busy[n-1].slot < slot {
+		c.busy = append(c.busy, slotBusy{slot: slot, busy: d})
+		return
+	}
+	i := c.search(slot)
+	if c.busy[i].slot != slot {
+		c.busy = append(c.busy, slotBusy{})
+		copy(c.busy[i+1:], c.busy[i:])
+		c.busy[i] = slotBusy{slot: slot}
+	}
+	c.busy[i].busy += d
+}
+
+// search returns the index of the first pair whose slot is ≥ slot.
+func (c *CPUMeter) search(slot int64) int {
+	return sort.Search(len(c.busy), func(i int) bool { return c.busy[i].slot >= slot })
+}
+
 // UsageAt returns the utilisation percentage of the window containing t.
 func (c *CPUMeter) UsageAt(t sim.Time) float64 {
 	slot := int64(t.Duration() / c.window)
-	return 100 * float64(c.busy[slot]) / float64(c.window)
+	var busy time.Duration
+	if i := c.search(slot); i < len(c.busy) && c.busy[i].slot == slot {
+		busy = c.busy[i].busy
+	}
+	return 100 * float64(busy) / float64(c.window)
 }
 
 // TraceSeries renders the usage as a step series from time zero to the
 // last busy window.
 func (c *CPUMeter) TraceSeries(name string) *Series {
 	s := &Series{Name: name}
-	for slot := int64(0); slot <= c.maxSlot; slot++ {
+	var maxSlot int64
+	if n := len(c.busy); n > 0 {
+		maxSlot = max(maxSlot, c.busy[n-1].slot)
+	}
+	i := c.search(0)
+	for slot := int64(0); slot <= maxSlot; slot++ {
+		var busy time.Duration
+		if i < len(c.busy) && c.busy[i].slot == slot {
+			busy = c.busy[i].busy
+			i++
+		}
 		at := sim.Time(time.Duration(slot) * c.window)
-		s.Add(at, 100*float64(c.busy[slot])/float64(c.window))
+		s.Add(at, 100*float64(busy)/float64(c.window))
 	}
 	return s
 }

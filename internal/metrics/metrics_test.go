@@ -180,13 +180,93 @@ func TestCPUMeterConservationProperty(t *testing.T) {
 		cost := time.Duration(costMicros) * time.Microsecond
 		m.OnBusy(start, cost, "w")
 		var total time.Duration
-		for slot, d := range m.busy {
+		for _, p := range m.busy {
+			slot, d := p.slot, p.busy
 			if d < 0 || d > time.Millisecond || slot < 0 {
 				return false
 			}
 			total += d
 		}
 		return total == cost
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mapCPUMeter is the reference model for CPUMeter: the original
+// map-of-windows implementation.
+type mapCPUMeter struct {
+	window  time.Duration
+	busy    map[int64]time.Duration
+	maxSlot int64
+}
+
+func (c *mapCPUMeter) OnBusy(start sim.Time, cost time.Duration) {
+	t := start.Duration()
+	for cost > 0 {
+		slot := int64(t / c.window)
+		slotEnd := time.Duration(slot+1) * c.window
+		chunk := cost
+		if t+chunk > slotEnd {
+			chunk = slotEnd - t
+		}
+		c.busy[slot] += chunk
+		if slot > c.maxSlot {
+			c.maxSlot = slot
+		}
+		t += chunk
+		cost -= chunk
+	}
+}
+
+func (c *mapCPUMeter) UsageAt(t sim.Time) float64 {
+	return 100 * float64(c.busy[int64(t.Duration()/c.window)]) / float64(c.window)
+}
+
+func (c *mapCPUMeter) TraceSeries(name string) *Series {
+	s := &Series{Name: name}
+	for slot := int64(0); slot <= c.maxSlot; slot++ {
+		s.Add(sim.Time(time.Duration(slot)*c.window), 100*float64(c.busy[slot])/float64(c.window))
+	}
+	return s
+}
+
+// Property: fed the same busy intervals in any order — in time order,
+// overlapping, or reaching back before earlier ones — the meter reports
+// exactly what the map model does, window by window; so does its Clone.
+func TestCPUMeterMatchesMapModelProperty(t *testing.T) {
+	type interval struct {
+		StartMicros uint16
+		CostMicros  uint16
+	}
+	f := func(ivs []interval) bool {
+		const window = time.Millisecond
+		m := NewCPUMeter(window)
+		ref := &mapCPUMeter{window: window, busy: map[int64]time.Duration{}}
+		for _, iv := range ivs {
+			start := sim.Time(time.Duration(iv.StartMicros) * time.Microsecond)
+			cost := time.Duration(iv.CostMicros) * time.Microsecond
+			m.OnBusy(start, cost, "w")
+			ref.OnBusy(start, cost)
+		}
+		for _, meter := range []*CPUMeter{m, m.Clone()} {
+			for at := time.Duration(0); at < 70*time.Millisecond; at += window / 2 {
+				if meter.UsageAt(sim.Time(at)) != ref.UsageAt(sim.Time(at)) {
+					return false
+				}
+			}
+			got, want := meter.TraceSeries("cpu"), ref.TraceSeries("cpu")
+			if len(got.Points) != len(want.Points) {
+				return false
+			}
+			for i := range got.Points {
+				if got.Points[i] != want.Points[i] {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

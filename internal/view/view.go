@@ -11,6 +11,7 @@ package view
 
 import (
 	"fmt"
+	"strconv"
 
 	"rchdroid/internal/bundle"
 )
@@ -78,6 +79,11 @@ type BaseView struct {
 	parent   *ViewGroup
 	attach   *AttachInfo
 	self     View // the embedding widget, for callbacks and peers
+
+	// key caches the "view:<id>" bundle section key. It is built on the
+	// first save or restore, not at init, so inflating a tree that is
+	// never saved costs nothing extra; clones copy it.
+	key string
 
 	released bool
 	dirty    bool
@@ -186,7 +192,10 @@ func (b *BaseView) release() {
 
 // stateKey returns the bundle section key for this view's saved state.
 func (b *BaseView) stateKey() string {
-	return fmt.Sprintf("view:%d", b.id)
+	if b.key == "" {
+		b.key = "view:" + strconv.Itoa(int(b.id))
+	}
+	return b.key
 }
 
 // saveSection allocates (or reuses) this view's nested bundle in out.
@@ -195,10 +204,11 @@ func (b *BaseView) saveSection(out *bundle.Bundle) *bundle.Bundle {
 	if b.id == NoID {
 		return nil
 	}
-	sec := out.GetBundle(b.stateKey())
+	key := b.stateKey()
+	sec := out.GetBundle(key)
 	if sec == nil {
 		sec = bundle.New()
-		out.PutBundle(b.stateKey(), sec)
+		out.PutBundle(key, sec)
 	}
 	return sec
 }

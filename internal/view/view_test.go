@@ -257,11 +257,41 @@ func TestNoIDViewsSaveNothing(t *testing.T) {
 	d := NewDecorView(1)
 	anon := NewTextView(NoID, "unsaved")
 	d.AddChild(anon)
-	state := bundle.New()
-	d.SaveState(state)
-	for _, k := range state.Keys() {
-		if k == "view:0" {
-			t.Fatal("NoID view saved state")
+	for i := 0; i < 2; i++ { // the second save runs with cached keys
+		state := bundle.New()
+		d.SaveState(state)
+		if keys := state.Keys(); len(keys) != 1 || keys[0] != "view:1" {
+			t.Fatalf("save %d: keys %q, want only the decor's view:1", i, keys)
+		}
+	}
+}
+
+// TestClonedViewKeepsStateKey pins the cached section key across a
+// clone: a tree cloned after it has saved, and one cloned before, save
+// exactly what the original does.
+func TestClonedViewKeepsStateKey(t *testing.T) {
+	d := NewDecorView(1)
+	d.AddChild(NewEditText(12, "draft"))
+	d.AddChild(NewCheckBox(7, "opt"))
+	d.AddChild(NewTextView(NoID, "anon"))
+	before, err := CloneTree(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bundle.New()
+	d.SaveState(want)
+	after, err := CloneTree(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := want.String(); got != `{view:1={visible=true}, view:12={cursor=5, text="draft", visible=true}, view:7={checked=false, visible=true}}` {
+		t.Fatalf("original saved %s", got)
+	}
+	for name, tree := range map[string]View{"cloned before save": before, "cloned after save": after} {
+		got := bundle.New()
+		tree.SaveState(got)
+		if !got.Equal(want) || got.String() != want.String() {
+			t.Errorf("%s: saved %s, want %s", name, got, want)
 		}
 	}
 }
