@@ -31,6 +31,7 @@ func TestAllocBudget(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		root.AddChild(view.NewEditText(view.ID(10+i), "content"))
 	}
+	cache := device.NewTemplateCache()
 	rig := experiments.NewRig(benchapp.New(benchapp.Config{Images: 8, TaskDelay: time.Hour}), experiments.ModeRCHDroid)
 	var seed uint64
 
@@ -58,6 +59,12 @@ func TestAllocBudget(t *testing.T) {
 			if _, err := tpl.Fork(seed, nil); err != nil {
 				t.Fatal(err)
 			}
+		}},
+		// The construction call every sweep seed and explore schedule
+		// makes; the warm-up call below builds the key's template.
+		{"TemplateCache.Fork warm, oracle spec", 54, func() {
+			seed++
+			cache.Fork("images:4", oracleSpec, seed, nil)
 		}},
 	}
 	for _, c := range cases {

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"rchdroid/internal/device"
 	"rchdroid/internal/obs"
 	"rchdroid/internal/serve"
 	"rchdroid/internal/sweep"
@@ -264,7 +263,7 @@ func TestChaosStormContainment(t *testing.T) {
 	// surface. Compare compacted (the wire encoder compacts the dump).
 	reg := obs.NewRegistry()
 	sweep.RunObs(sweep.Config{Mode: "oracle", Start: 1, Count: canaries, Workers: 2, Obs: reg},
-		sweep.OracleRunnerForked(device.NewTemplateCache()))
+		sweep.OracleRunner())
 	var want bytes.Buffer
 	if err := json.Compact(&want, reg.Snapshot().MarshalCanonical()); err != nil {
 		t.Fatal(err)

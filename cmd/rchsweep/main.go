@@ -11,19 +11,17 @@
 //	rchsweep -mode=guard -seeds=1024            # guarded-chaos sweep
 //	rchsweep -mode=monkey -seeds=54             # monkey×chaos TP-27 stress
 //	rchsweep -mode=boot -seeds=20000            # pure device spin-up (no chaos run)
-//	rchsweep -mode=oracle -seeds=512 -fork      # per-seed worlds forked from one template
 //	rchsweep -mode=oracle -seeds=64 -crosscheck # byte-compare workers=1 vs workers=N
 //	rchsweep -mode=oracle -seeds=512 -progress=1s -metrics-out=artifacts/metrics.json
 //	rchsweep -mode=oracle -seeds=512 -min-seeds-per-sec=250 -profile-cpu=artifacts/cpu.pprof
-//	rchsweep -bench -mode=oracle,guard,boot:20000 -fork -seeds=256 -bench-workers=1,2,4,8,0 -bench-out BENCH_sweep.json
+//	rchsweep -bench -mode=oracle,guard,boot:20000 -seeds=256 -bench-workers=1,2,4,8,0 -bench-out BENCH_sweep.json
 //
-// -fork routes every per-seed world through device.Template.Fork — the
-// pre-chaos world is built, launched, and settled once, then stamped out
-// per seed — and the merged report plus canonical metrics dump stay
-// byte-identical to fresh builds (ci.sh gates on exactly that). With
-// -bench, each mode is measured fresh AND forked and the speedup is
-// logged; a "mode:seeds" entry overrides -seeds for that mode, which the
-// boot mode needs (each of its seeds is microseconds).
+// The oracle, guard and boot modes build every per-seed world through
+// device.Template.Fork: the pre-chaos world is built, launched, and
+// settled once, then stamped out per seed, with the merged report and
+// canonical metrics dump byte-identical to fresh builds. With -bench, a
+// "mode:seeds" entry overrides -seeds for that mode, which the boot
+// mode needs (each of its seeds is microseconds).
 package main
 
 import (
@@ -96,10 +94,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "rchsweep: -bench-workers: %v\n", err)
 			return 2
 		}
-		return runBench(*mode, *seeds, counts, shared.Fork, *benchOut, stdout, stderr)
+		return runBench(*mode, *seeds, counts, *benchOut, stdout, stderr)
 	}
 
-	fn, replay, err := sweep.ForModeForked(*mode, shared.Fork)
+	fn, replay, err := sweep.ForMode(*mode)
 	if err != nil {
 		fmt.Fprintf(stderr, "rchsweep: %v\n", err)
 		return 2
@@ -248,10 +246,10 @@ func writeFailureTrace(stderr io.Writer, mode string, seed uint64) {
 	var name string
 	switch mode {
 	case "oracle":
-		raw, err = oracle.TraceRCH(seed, sweep.RCHInstaller(), 0)
+		raw, err = oracle.TraceRCH(seed, sweep.RCHInstallerObs(nil), 0, chaos.Light())
 		name = fmt.Sprintf("seed%d.trace.json", seed)
 	case "guard":
-		raw, err = oracle.TraceRCHWith(seed, sweep.GuardedInstaller(), 0, chaos.Guarded())
+		raw, err = oracle.TraceRCH(seed, sweep.GuardedInstallerObs(nil), 0, chaos.Guarded())
 		name = fmt.Sprintf("seed%d.guarded.trace.json", seed)
 	default:
 		return // monkey runs have no single-seed trace replay (yet)
@@ -276,11 +274,8 @@ func writeFailureTrace(stderr io.Writer, mode string, seed uint64) {
 // wall time per point, with GOMAXPROCS recorded on every measurement.
 // A mode entry may carry its own seed count as "mode:seeds" — the boot
 // mode needs far more seeds than a chaos sweep for a stable wall-clock
-// measurement, since each of its seeds is microseconds of work. With
-// -fork, every mode but monkey is measured twice — fresh builds and
-// template forks — so the artifact records the fork speedup alongside
-// the worker-scaling curve.
-func runBench(modes string, seeds int, workerCounts []int, fork bool, outPath string, stdout, stderr io.Writer) int {
+// measurement, since each of its seeds is microseconds of work.
+func runBench(modes string, seeds int, workerCounts []int, outPath string, stdout, stderr io.Writer) int {
 	file := sweep.BenchFile{
 		Generated: time.Now().UTC().Format(time.RFC3339),
 	}
@@ -298,45 +293,26 @@ func runBench(modes string, seeds int, workerCounts []int, fork bool, outPath st
 			}
 			mode, modeSeeds = mode2, v
 		}
-		variants := []bool{false}
-		if fork && mode != "monkey" {
-			variants = append(variants, true)
+		b, err := sweep.RunBench(mode, modeSeeds, workerCounts)
+		if err != nil {
+			fmt.Fprintf(stderr, "rchsweep: bench %s: %v\n", mode, err)
+			return 2
 		}
-		var freshRate float64
-		for _, forked := range variants {
-			b, err := sweep.RunBenchForked(mode, modeSeeds, workerCounts, forked)
-			if err != nil {
-				fmt.Fprintf(stderr, "rchsweep: bench %s: %v\n", mode, err)
-				return 2
+		for _, m := range b.Curve {
+			fmt.Fprintf(stderr, "rchsweep: bench %s: workers=%d gomaxprocs=%d %.0f seeds/sec (×%.2f) report_identical=%v metrics_identical=%v\n",
+				mode, m.Workers, m.GOMAXPROCS, m.SeedsPerSec, m.Speedup, m.ReportIdentical, m.MetricsIdentical)
+			if !m.ReportIdentical || !m.MetricsIdentical {
+				fmt.Fprintf(stderr, "rchsweep: bench %s: DETERMINISM VIOLATION at workers=%d (report_identical=%v metrics_identical=%v)\n",
+					mode, m.Workers, m.ReportIdentical, m.MetricsIdentical)
+				return 1
 			}
-			label := mode
-			if forked {
-				label += "+fork"
+			if m.Failures > 0 {
+				fmt.Fprintf(stderr, "rchsweep: bench %s: sweep failed %d seeds; run `rchsweep -mode=%s -seeds=%d` for the replay lines\n",
+					mode, m.Failures, mode, modeSeeds)
+				return 1
 			}
-			for _, m := range b.Curve {
-				fmt.Fprintf(stderr, "rchsweep: bench %s: workers=%d gomaxprocs=%d %.0f seeds/sec (×%.2f) report_identical=%v metrics_identical=%v\n",
-					label, m.Workers, m.GOMAXPROCS, m.SeedsPerSec, m.Speedup, m.ReportIdentical, m.MetricsIdentical)
-				if !m.ReportIdentical || !m.MetricsIdentical {
-					fmt.Fprintf(stderr, "rchsweep: bench %s: DETERMINISM VIOLATION at workers=%d (report_identical=%v metrics_identical=%v)\n",
-						label, m.Workers, m.ReportIdentical, m.MetricsIdentical)
-					return 1
-				}
-				if m.Failures > 0 {
-					fmt.Fprintf(stderr, "rchsweep: bench %s: sweep failed %d seeds; run `rchsweep -mode=%s -seeds=%d` for the replay lines\n",
-						label, m.Failures, mode, modeSeeds)
-					return 1
-				}
-			}
-			if len(b.Curve) > 0 {
-				if !forked {
-					freshRate = b.Curve[0].SeedsPerSec
-				} else if freshRate > 0 {
-					fmt.Fprintf(stderr, "rchsweep: bench %s: fork speedup ×%.2f at workers=1 (%.0f vs %.0f seeds/sec)\n",
-						mode, b.Curve[0].SeedsPerSec/freshRate, b.Curve[0].SeedsPerSec, freshRate)
-				}
-			}
-			file.Benches = append(file.Benches, b)
 		}
+		file.Benches = append(file.Benches, b)
 	}
 	if len(file.Benches) == 0 {
 		fmt.Fprintln(stderr, "rchsweep: -bench got no modes")

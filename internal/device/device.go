@@ -183,8 +183,12 @@ func NewTemplateCache() *TemplateCache {
 // when the spec is forkable, built fresh otherwise. The first call for a
 // key builds and settles the template; concurrent callers for the same
 // key wait for it rather than building twice, and callers for other
-// keys proceed independently.
+// keys proceed independently. A nil cache builds every world fresh with
+// New — the reference the fork path is byte-compared against.
 func (c *TemplateCache) Fork(key string, spec Spec, seed uint64, arm ArmFunc) *World {
+	if c == nil {
+		return New(spec, seed, arm)
+	}
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil {

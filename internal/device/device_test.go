@@ -114,7 +114,8 @@ func TestForkDeterminism(t *testing.T) {
 
 // TestForkMatchesFresh pins the core soundness claim: a forked world is
 // indistinguishable from a freshly built one — same arming point, same
-// event order, same chaos stream, same end state.
+// event order, same chaos stream, same end state — and so is a world
+// from a nil cache.
 func TestForkMatchesFresh(t *testing.T) {
 	tpl, err := device.NewTemplate(forkSpec())
 	if err != nil {
@@ -135,16 +136,27 @@ func TestForkMatchesFresh(t *testing.T) {
 	fresh := func(seed uint64, arm device.ArmFunc) *device.World {
 		return device.New(forkSpec(), seed, arm)
 	}
-	forked := func(seed uint64, arm device.ArmFunc) *device.World {
-		w, err := tpl.Fork(seed, arm)
-		if err != nil {
-			t.Fatalf("fork seed %d: %v", seed, err)
-		}
-		return w
-	}
-	for seed := uint64(1); seed <= 8; seed++ {
-		if a, b := run(fresh, seed), run(forked, seed); a != b {
-			t.Errorf("seed %d: fork diverged from fresh build:\n%s\nvs\n%s", seed, a, b)
+	for _, tc := range []struct {
+		name  string
+		build func(seed uint64, arm device.ArmFunc) *device.World
+	}{
+		{"Template.Fork", func(seed uint64, arm device.ArmFunc) *device.World {
+			w, err := tpl.Fork(seed, arm)
+			if err != nil {
+				t.Fatalf("fork seed %d: %v", seed, err)
+			}
+			return w
+		}},
+		// A nil cache is the fresh reference the sweeps' fork-vs-fresh
+		// gates compare against: it must build exactly what New builds.
+		{"nil TemplateCache.Fork", func(seed uint64, arm device.ArmFunc) *device.World {
+			return (*device.TemplateCache)(nil).Fork("oracle", forkSpec(), seed, arm)
+		}},
+	} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			if a, b := run(fresh, seed), run(tc.build, seed); a != b {
+				t.Errorf("%s seed %d: diverged from fresh build:\n%s\nvs\n%s", tc.name, seed, a, b)
+			}
 		}
 	}
 }

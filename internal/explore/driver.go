@@ -83,10 +83,9 @@ func fieldPrefix(className string) string {
 // fault actions injected at their edges. Everything is scripted — the
 // chaos plan starts with zero rates, so the run is a pure function of
 // (scenario, schedule, installer). The world is forked from forker's
-// per-scenario template when one is supplied (the scripted plan consumes
-// no randomness before the first step, so the fork's post-settle arming
-// point is behaviorally identical to a fresh build) and built fresh
-// otherwise.
+// per-scenario template (the scripted plan consumes no randomness before
+// the first step, so the fork's post-settle arming point is behaviorally
+// identical to a fresh build); a nil cache builds it fresh.
 func runScenario(sc *corpus.Scenario, sched Schedule, inst oracle.Installer, forker *device.TemplateCache) RunResult {
 	res := RunResult{Name: inst.Name}
 	var plan *chaos.Plan
@@ -103,12 +102,7 @@ func runScenario(sc *corpus.Scenario, sched Schedule, inst oracle.Installer, for
 		plan.BindClock(dw.Sched)
 		install(dw.Proc)
 	}
-	spec := device.Spec{App: sc.App}
-	if forker != nil {
-		forker.Fork("scenario:"+sc.Name, spec, 0, arm)
-	} else {
-		device.New(spec, 0, arm)
-	}
+	forker.Fork("scenario:"+sc.Name, device.Spec{App: sc.App}, 0, arm)
 	clock, sys, proc := w.Sched, w.Sys, w.Proc
 
 	invCfg := invariantsFor(sc)

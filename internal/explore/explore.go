@@ -151,34 +151,24 @@ func (v *Verdict) judge(sc *corpus.Scenario) {
 }
 
 // InstallerFor builds a fresh default installer for the scenario:
-// supervised RCHDroid for guarded scenarios, plain RCHDroid otherwise.
-// Installers are stateful (the guard getter), so every run needs its
-// own — never share one across workers.
-func InstallerFor(sc *corpus.Scenario) oracle.Installer {
-	return InstallerForObs(sc, nil)
-}
-
-// InstallerForObs is InstallerFor with the worker's metric shard routed
-// into core (and the guard, for guarded scenarios). A nil shard
-// disables observation.
-func InstallerForObs(sc *corpus.Scenario, sh *obs.Shard) oracle.Installer {
+// supervised RCHDroid for guarded scenarios, plain RCHDroid otherwise,
+// with the worker's metric shard routed into core (and the guard, for
+// guarded scenarios). A nil shard disables observation. Installers are
+// stateful (the guard getter), so every run needs its own — never share
+// one across workers.
+func InstallerFor(sc *corpus.Scenario, sh *obs.Shard) oracle.Installer {
 	if sc.Guarded {
 		return sweep.GuardedInstallerObs(sh)
 	}
 	return sweep.RCHInstallerObs(sh)
 }
 
-// RunIndexWith runs schedule idx of the space under stock and under the
-// given RCHDroid installer, and judges the pair.
-func RunIndexWith(sc *corpus.Scenario, sp Space, idx uint64, rch oracle.Installer) Verdict {
-	return RunIndexForked(sc, sp, idx, rch, nil)
-}
-
-// RunIndexForked is RunIndexWith with an optional fork cache: both the
-// stock and the RCHDroid world fork from the scenario's single pre-chaos
-// template (the arms differ only in what the post-settle arming point
-// installs), so the verdict is byte-identical to the fresh-build path.
-func RunIndexForked(sc *corpus.Scenario, sp Space, idx uint64, rch oracle.Installer, forker *device.TemplateCache) Verdict {
+// RunSchedule runs schedule idx of the space under stock and under the
+// given RCHDroid installer, and judges the pair. Both worlds fork from
+// forker's single pre-chaos template for the scenario (the arms differ
+// only in what the post-settle arming point installs); a nil cache
+// builds them fresh, with a byte-identical verdict.
+func RunSchedule(sc *corpus.Scenario, sp Space, idx uint64, rch oracle.Installer, forker *device.TemplateCache) Verdict {
 	sched := sp.At(idx)
 	v := Verdict{Scenario: sc.Name, Index: idx, Schedule: sched}
 	v.Stock = runScenario(sc, sched, oracle.Installer{Name: "Android-10"}, forker)
@@ -187,9 +177,11 @@ func RunIndexForked(sc *corpus.Scenario, sp Space, idx uint64, rch oracle.Instal
 	return v
 }
 
-// RunIndex is RunIndexWith under the scenario's default installer.
+// RunIndex replays one schedule under the scenario's default installer.
+// A one-off run builds its worlds fresh; a template would cost more than
+// it saves.
 func RunIndex(sc *corpus.Scenario, sp Space, idx uint64) Verdict {
-	return RunIndexWith(sc, sp, idx, InstallerFor(sc))
+	return RunSchedule(sc, sp, idx, InstallerFor(sc, nil), nil)
 }
 
 // ReplayFor is the printf format (one %d verb: the schedule index) that
@@ -220,10 +212,6 @@ type Options struct {
 	// schedule-derived, so the canonical dump is byte-identical at any
 	// worker count.
 	Obs *obs.Registry
-	// Fork builds the scenario's pre-chaos world once and forks it per
-	// schedule instead of rebuilding it. Reports and canonical metric
-	// dumps are byte-identical either way.
-	Fork bool
 	// Stop cancels the chunk cooperatively (see sweep.Config.Stop). An
 	// interrupted Result's Next() is the contiguous done prefix, so a
 	// frontier written from it resumes without skipping any schedule.
@@ -274,10 +262,17 @@ func (r *Result) String() string {
 }
 
 // Explore fans one chunk of the scenario's schedule space across the
-// sweep pool. Results merge under the sweep engine's byte-identical
+// sweep pool. The scenario's pre-chaos world is built once and forked
+// per schedule. Results merge under the sweep engine's byte-identical
 // contract: per-index side observations are written to index-owned
 // slots, so the tallies are the same at any worker count.
 func Explore(sc *corpus.Scenario, opts Options) *Result {
+	return explore(sc, opts, device.NewTemplateCache())
+}
+
+// explore is Explore over the given cache; tests pass nil to get the
+// fresh-build reference.
+func explore(sc *corpus.Scenario, opts Options, forker *device.TemplateCache) *Result {
 	sp := SpaceFor(sc, opts.Depth)
 	size := sp.Size()
 	start := opts.Start
@@ -288,13 +283,9 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 	if opts.Count <= 0 || count > size-start {
 		count = size - start
 	}
-	factory := func(sh *obs.Shard) oracle.Installer { return InstallerForObs(sc, sh) }
+	factory := func(sh *obs.Shard) oracle.Installer { return InstallerFor(sc, sh) }
 	if opts.Installer != nil {
 		factory = func(*obs.Shard) oracle.Installer { return opts.Installer() }
-	}
-	var forker *device.TemplateCache
-	if opts.Fork {
-		forker = device.NewTemplateCache()
 	}
 	crashes := make([]bool, count)
 	tallies := make([][oracle.NumLossBuckets]int, count)
@@ -308,7 +299,7 @@ func Explore(sc *corpus.Scenario, opts Options) *Result {
 		Obs:       opts.Obs,
 		Stop:      opts.Stop,
 	}, func(idx uint64, sh *obs.Shard) sweep.Outcome {
-		v := RunIndexForked(sc, sp, idx, factory(sh), forker)
+		v := RunSchedule(sc, sp, idx, factory(sh), forker)
 		i := idx - start
 		crashes[i] = v.Stock.Crashed
 		tallies[i] = oracle.TallyLosses(v.Stock.Losses)

@@ -88,7 +88,7 @@ func TestClassifierHasTeeth(t *testing.T) {
 		t.Fatal("corpus lost double-rotation")
 	}
 	sp := SpaceFor(&sc, 0)
-	v := RunIndexWith(&sc, sp, 0, oracle.Installer{Name: "Android-10-as-RCH"})
+	v := RunSchedule(&sc, sp, 0, oracle.Installer{Name: "Android-10-as-RCH"}, nil)
 	if v.OK() {
 		t.Fatal("stock-vs-stock passed: the classifier cannot see stock's losses")
 	}

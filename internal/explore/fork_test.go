@@ -3,6 +3,7 @@ package explore
 import (
 	"testing"
 
+	"rchdroid/internal/device"
 	"rchdroid/internal/obs"
 	"rchdroid/internal/oracle/corpus"
 )
@@ -11,7 +12,8 @@ import (
 // walk: exploring a scenario's depth-1 space through forked worlds
 // (one stock and one RCHDroid template per scenario, every schedule a
 // fork) merges to the same report and canonical metrics — byte for
-// byte — as the fresh-build walk, sequentially and under a pool.
+// byte — as the fresh-build walk over a nil cache, sequentially and
+// under a pool.
 func TestExploreForkByteIdentical(t *testing.T) {
 	for _, name := range []string{"backstack", "quarantine-recovery"} {
 		sc, ok := corpus.ByName(name)
@@ -19,14 +21,14 @@ func TestExploreForkByteIdentical(t *testing.T) {
 			t.Fatalf("scenario %s missing from corpus", name)
 		}
 		t.Run(name, func(t *testing.T) {
-			walk := func(fork bool, workers int) (string, string) {
+			walk := func(forker *device.TemplateCache, workers int) (string, string) {
 				reg := obs.NewRegistry()
-				res := Explore(&sc, Options{Depth: 1, Workers: workers, Obs: reg, Fork: fork})
+				res := explore(&sc, Options{Depth: 1, Workers: workers, Obs: reg}, forker)
 				return res.String(), string(reg.Snapshot().MarshalCanonical())
 			}
-			freshRep, freshCanon := walk(false, 1)
+			freshRep, freshCanon := walk(nil, 1)
 			for _, workers := range []int{1, 4} {
-				forkRep, forkCanon := walk(true, workers)
+				forkRep, forkCanon := walk(device.NewTemplateCache(), workers)
 				if forkRep != freshRep {
 					t.Fatalf("workers=%d: forked walk differs from fresh build:\n--- fresh\n%s--- fork\n%s",
 						workers, freshRep, forkRep)

@@ -78,11 +78,11 @@ const regressionSeed = 889
 // counterfactual that proves the race is harmful; the schedule-space twin
 // below proves the explorer reaches the same window without RNG.
 func TestGuardedSeed613Regression(t *testing.T) {
-	guarded := oracle.DifferentialOpts(regressionSeed, sweep.GuardedInstaller(), chaos.Guarded())
+	guarded := oracle.DifferentialWith(regressionSeed, sweep.GuardedInstallerObs(nil), chaos.Guarded(), nil)
 	if !guarded.OK() {
 		t.Fatalf("guarded seed %d regressed:\n%s", regressionSeed, guarded.String())
 	}
-	ablated := oracle.DifferentialOpts(regressionSeed, supersessionAblatedInstaller(), chaos.Guarded())
+	ablated := oracle.DifferentialWith(regressionSeed, supersessionAblatedInstaller(), chaos.Guarded(), nil)
 	if ablated.OK() {
 		t.Fatalf("seed %d passed without the handling-generation guard — the ablation no longer reproduces the race, so the regression has lost its counterfactual", regressionSeed)
 	}
@@ -115,7 +115,7 @@ func TestSeed613ScheduleSpaceTwin(t *testing.T) {
 	// The empty schedule leaves the race window closed: the scenario's
 	// scripted changes alone never overlap a queued stock route.
 	var baseline *core.RCHDroid
-	if v := RunIndexWith(&sc, sp, 0, guardedCountingInstaller(&baseline)); !v.OK() {
+	if v := RunSchedule(&sc, sp, 0, guardedCountingInstaller(&baseline), nil); !v.OK() {
 		t.Fatalf("baseline quarantine-recovery run failed:\n%s", v.String())
 	}
 	if n := baseline.Handler.SupersededStockRoutes(); n != 0 {
@@ -125,7 +125,7 @@ func TestSeed613ScheduleSpaceTwin(t *testing.T) {
 	// The twin index opens it: the injected change's stock route must be
 	// outdated while queued, and the guarded build must survive that.
 	var rch *core.RCHDroid
-	v := RunIndexWith(&sc, sp, idx, guardedCountingInstaller(&rch))
+	v := RunSchedule(&sc, sp, idx, guardedCountingInstaller(&rch), nil)
 	if !v.OK() {
 		t.Fatalf("guarded build failed the twin schedule %s (idx %d):\n%s", twinSchedule, idx, v.String())
 	}
@@ -134,7 +134,7 @@ func TestSeed613ScheduleSpaceTwin(t *testing.T) {
 	}
 
 	// Rediscovery is deterministic: the same index replays byte-identically.
-	again := RunIndexWith(&sc, sp, idx, sweep.GuardedInstaller())
+	again := RunSchedule(&sc, sp, idx, sweep.GuardedInstallerObs(nil), nil)
 	if v.String() != again.String() {
 		t.Fatalf("twin index %d not deterministic:\n%s\nvs\n%s", idx, v.String(), again.String())
 	}

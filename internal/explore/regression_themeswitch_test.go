@@ -77,7 +77,7 @@ func TestThemeSwitchFlipPinningRace(t *testing.T) {
 	// scripted changes alone coalesce before the handler commits to a
 	// flip against a doomed partner.
 	var baseline *core.RCHDroid
-	if v := RunIndexWith(&sc, sp, 0, countingInstaller(&baseline)); !v.OK() {
+	if v := RunSchedule(&sc, sp, 0, countingInstaller(&baseline), nil); !v.OK() {
 		t.Fatalf("baseline theme-switch run failed:\n%s", v.String())
 	}
 
@@ -86,7 +86,7 @@ func TestThemeSwitchFlipPinningRace(t *testing.T) {
 	// promoted) — if the flip stops firing here, the schedule no longer
 	// reaches the window this regression protects.
 	var rch *core.RCHDroid
-	v := RunIndexWith(&sc, sp, idx, countingInstaller(&rch))
+	v := RunSchedule(&sc, sp, idx, countingInstaller(&rch), nil)
 	if !v.OK() {
 		t.Fatalf("default build failed the race schedule %s (idx %d):\n%s", raceSchedule, idx, v.String())
 	}
@@ -96,7 +96,7 @@ func TestThemeSwitchFlipPinningRace(t *testing.T) {
 
 	// The counterfactual: without the pin, the non-flip release destroys
 	// the flip target and the run ends foregroundless.
-	ablated := RunIndexWith(&sc, sp, idx, flipPinningAblatedInstaller())
+	ablated := RunSchedule(&sc, sp, idx, flipPinningAblatedInstaller(), nil)
 	if ablated.OK() {
 		t.Fatalf("schedule %s passed without flip pinning — the ablation no longer reproduces the race, so the regression has lost its counterfactual", raceSchedule)
 	}
@@ -105,7 +105,7 @@ func TestThemeSwitchFlipPinningRace(t *testing.T) {
 	}
 
 	// Rediscovery is deterministic: the same index replays byte-identically.
-	again := RunIndexWith(&sc, sp, idx, sweep.RCHInstaller())
+	again := RunSchedule(&sc, sp, idx, sweep.RCHInstallerObs(nil), nil)
 	if v.String() != again.String() {
 		t.Fatalf("race index %d not deterministic:\n%s\nvs\n%s", idx, v.String(), again.String())
 	}
@@ -132,7 +132,7 @@ func TestThemeSwitchPendingShadowWindow(t *testing.T) {
 	if !ok {
 		t.Fatal("window schedule fell out of the depth-2 space")
 	}
-	if v := RunIndexWith(&sc, sp, idx, sweep.RCHInstaller()); !v.OK() {
+	if v := RunSchedule(&sc, sp, idx, sweep.RCHInstallerObs(nil), nil); !v.OK() {
 		t.Fatalf("pending-shadow window schedule (idx %d) failed:\n%s", idx, v.String())
 	}
 }

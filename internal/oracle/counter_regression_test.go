@@ -9,6 +9,7 @@ import (
 	"rchdroid/internal/atms"
 	"rchdroid/internal/chaos"
 	"rchdroid/internal/core"
+	"rchdroid/internal/obs"
 	"rchdroid/internal/oracle"
 	"rchdroid/internal/sweep"
 )
@@ -54,9 +55,9 @@ func TestOracleRejectsCorruptedCounter(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			inst := corruptingInstaller("RCHDroid-"+tc.name, tc.bad)
-			rep := sweep.Run(sweep.Config{Mode: "regression", Start: 1, Count: 16, Workers: 4},
-				func(seed uint64) sweep.Outcome {
-					v := oracle.Differential(seed, inst)
+			rep := sweep.RunObs(sweep.Config{Mode: "regression", Start: 1, Count: 16, Workers: 4},
+				func(seed uint64, _ *obs.Shard) sweep.Outcome {
+					v := oracle.DifferentialWith(seed, inst, chaos.Light(), nil)
 					return sweep.Outcome{OK: v.OK(), Detail: v.Summary(), Failures: v.Failures}
 				})
 			if rep.OK() {

@@ -203,11 +203,12 @@ func oracleSpec(sc Scenario) device.Spec {
 	return device.Spec{App: func() *app.App { return OracleApp(images) }}
 }
 
-// runOnce executes the scenario script in a seeded world: built fresh
-// (or forked from forker's per-image-count template — byte-identical by
-// construction), then armed at the post-settle point with the chaos plan
-// on the scenario's seed, the handler under test, and the optional
-// tracer on every layer (system server, process, chaos plan).
+// runOnce executes the scenario script in a seeded world forked from
+// forker's per-image-count template (a nil cache builds it fresh —
+// byte-identical by construction), then armed at the post-settle point
+// with the chaos plan on the scenario's seed, the handler under test,
+// and the optional tracer on every layer (system server, process, chaos
+// plan).
 func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Tracer, forker *device.TemplateCache) RunResult {
 	res := RunResult{
 		Name:          inst.Name,
@@ -228,13 +229,7 @@ func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Trac
 		}
 		plan.Install(w.Sys, w.Proc)
 	}
-	spec := oracleSpec(sc)
-	var w *device.World
-	if forker != nil {
-		w = forker.Fork(fmt.Sprintf("images:%d", sc.Images), spec, sc.Seed, arm)
-	} else {
-		w = device.New(spec, sc.Seed, arm)
-	}
+	w := forker.Fork(fmt.Sprintf("images:%d", sc.Images), oracleSpec(sc), sc.Seed, arm)
 	sched, sys, proc := w.Sched, w.Sys, w.Proc
 	if fg := proc.Thread().ForegroundActivity(); fg != nil {
 		// Ground truth starts from the freshly launched instance (e.g. a
@@ -411,25 +406,14 @@ func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Trac
 	return res
 }
 
-// Differential runs the scenario for a seed under the stock Android-10
-// handler and under the installer's handler, then judges the
-// transparency contract.
-func Differential(seed uint64, rch Installer) Verdict {
-	return DifferentialOpts(seed, rch, chaos.Light())
-}
-
-// DifferentialOpts is Differential under an explicit chaos preset —
-// both runs replay the same plan, so the comparison stays apples to
-// apples at any fault intensity.
-func DifferentialOpts(seed uint64, rch Installer, opts chaos.Options) Verdict {
-	return DifferentialWith(seed, rch, opts, nil)
-}
-
-// DifferentialWith is DifferentialOpts with an optional fork cache: when
-// forker is non-nil, both arms' worlds are forked from per-image-count
-// templates instead of being built from scratch. The verdict is
-// byte-identical either way — forks replay the exact pre-chaos state and
-// the chaos plan arms at the same post-settle point on both paths.
+// DifferentialWith runs the scenario for a seed under the stock
+// Android-10 handler and under the installer's handler, both under the
+// same chaos preset (so the comparison stays apples to apples at any
+// fault intensity), then judges the transparency contract. Both arms'
+// worlds fork from forker's per-image-count templates; a nil cache
+// builds them fresh. The verdict is byte-identical either way — forks
+// replay the exact pre-chaos state and the chaos plan arms at the same
+// post-settle point on both paths.
 func DifferentialWith(seed uint64, rch Installer, opts chaos.Options, forker *device.TemplateCache) Verdict {
 	sc := GenScenario(seed)
 	v := Verdict{Seed: seed}
@@ -439,19 +423,15 @@ func DifferentialWith(seed uint64, rch Installer, opts chaos.Options, forker *de
 	return v
 }
 
-// TraceRCH re-runs the RCHDroid side of a seed's scenario with a
-// bounded ring tracer armed and returns the Chrome trace_event JSON.
-// Determinism makes this a faithful timeline of the failing run — the
-// faults land at the exact same points — at zero tracing cost to the
-// passing sweep. Capacity bounds the ring (≤ 0 uses the default), so
-// the dump always holds the tail of the run: the part where it failed.
-func TraceRCH(seed uint64, rch Installer, capacity int) ([]byte, error) {
-	return TraceRCHWith(seed, rch, capacity, chaos.Light())
-}
-
-// TraceRCHWith is TraceRCH under an explicit chaos preset, for
-// replaying failures found by sweeps that run heavier presets.
-func TraceRCHWith(seed uint64, rch Installer, capacity int, opts chaos.Options) ([]byte, error) {
+// TraceRCH re-runs the RCHDroid side of a seed's scenario under the
+// chaos preset its sweep used, with a bounded ring tracer armed, and
+// returns the Chrome trace_event JSON. Determinism makes this a
+// faithful timeline of the failing run — the faults land at the exact
+// same points — at zero tracing cost to the passing sweep. Capacity
+// bounds the ring (≤ 0 uses the default), so the dump always holds the
+// tail of the run: the part where it failed. A one-off replay builds its
+// single world fresh; a template would cost more than it saves.
+func TraceRCH(seed uint64, rch Installer, capacity int, opts chaos.Options) ([]byte, error) {
 	sc := GenScenario(seed)
 	tracer := trace.NewRing(nil, capacity)
 	runOnce(rch, sc, opts, tracer, nil)

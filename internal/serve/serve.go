@@ -9,6 +9,7 @@ import (
 
 	"rchdroid/internal/device"
 	"rchdroid/internal/obs"
+	"rchdroid/internal/sweep"
 )
 
 // Config tunes the fleet service. Zero values get serviceable defaults.
@@ -80,12 +81,13 @@ var errForcedAbort = errors.New("serve: drain deadline expired; forced abort")
 // (as opposed to a double drain).
 func ForcedAbort(err error) bool { return errors.Is(err, errForcedAbort) }
 
-// Server is the fleet: shards, their template cache, and the drain
-// machinery.
+// Server is the fleet: shards, their template cache, the canary runner
+// (with its own template cache) they share, and the drain machinery.
 type Server struct {
 	cfg    Config
 	shards []*shard
 	forker *device.TemplateCache
+	canary sweep.ObsRunner
 
 	// admitMu serializes admission against the drain flip: Submit holds
 	// the read side across its draining-check + enqueue, Drain takes the
@@ -108,6 +110,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		forker:  device.NewTemplateCache(),
+		canary:  sweep.OracleRunner(),
 		abortCh: make(chan struct{}),
 	}
 	for i := 0; i < cfg.shards(); i++ {

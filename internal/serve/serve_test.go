@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"rchdroid/internal/device"
 	"rchdroid/internal/obs"
 	"rchdroid/internal/sweep"
 )
@@ -310,7 +309,7 @@ func TestCanaryCanonicalMatchesSweep(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	rep := sweep.RunObs(sweep.Config{Mode: "oracle", Start: 1, Count: seeds, Workers: 2, Obs: reg},
-		sweep.OracleRunnerForked(device.NewTemplateCache()))
+		sweep.OracleRunner())
 	if !rep.OK() {
 		t.Fatalf("sweep failed:\n%s", rep.FailureOutput())
 	}

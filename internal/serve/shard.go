@@ -53,14 +53,13 @@ type pending struct {
 // per shard runs the loop; everything the admission path reads
 // (breaker state, queue capacity) is atomic or channel-based.
 type shard struct {
-	idx    int
-	srv    *Server
-	queue  chan *pending
-	brk    breaker
-	reg    *obs.Registry
-	sh     *obs.Shard
-	seed   *sweep.SeedObs
-	canary sweep.ObsRunner
+	idx   int
+	srv   *Server
+	queue chan *pending
+	brk   breaker
+	reg   *obs.Registry
+	sh    *obs.Shard
+	seed  *sweep.SeedObs
 	// devices mirrors len(sessions) for off-goroutine health reads.
 	devices atomic.Int64
 
@@ -79,7 +78,6 @@ func newShard(idx int, srv *Server) *shard {
 		reg:      reg,
 		sh:       sh,
 		seed:     sweep.NewSeedObs(sh),
-		canary:   sweep.OracleRunnerForked(srv.forker),
 		sessions: make(map[string]*session),
 	}
 	// Define the wall-domain serve counters up front so an idle shard
@@ -379,7 +377,7 @@ func (s *shard) noteGuard(sess *session) {
 func (s *shard) runCanary(req Request) Response {
 	res := sweep.SeedResult{Seed: req.Seed, Done: true}
 	t0 := time.Now()
-	res.Outcome = s.canary(req.Seed, s.sh)
+	res.Outcome = s.srv.canary(req.Seed, s.sh)
 	res.Wall = time.Since(t0)
 	s.seed.Record(&res)
 	s.brk.onSuccess()

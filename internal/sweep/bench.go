@@ -33,13 +33,8 @@ type Measurement struct {
 // Bench is one mode's scaling curve — the unit of the BENCH_sweep.json
 // trajectory. Curve[0] is always the workers=1 baseline.
 type Bench struct {
-	Mode  string `json:"mode"`
-	Seeds int    `json:"seeds"`
-	// Fork marks curves measured through the device fork path (per-seed
-	// worlds stamped from pre-chaos templates). A fork=true curve pairs
-	// with the fork=false curve of the same mode: same seeds, same
-	// byte-identical report, divided wall time.
-	Fork        bool          `json:"fork,omitempty"`
+	Mode        string        `json:"mode"`
+	Seeds       int           `json:"seeds"`
 	Curve       []Measurement `json:"curve"`
 	BestWorkers int           `json:"best_workers"`
 	BestSpeedup float64       `json:"best_speedup"`
@@ -72,17 +67,12 @@ func normalizeWorkerCounts(counts []int) []int {
 // RunBench sweeps one mode's seed range once per worker count and
 // byte-compares every point's merged report and canonical metrics dump
 // against the workers=1 baseline. A nil or empty workerCounts measures
-// {1, GOMAXPROCS}.
+// {1, GOMAXPROCS}. One runner, and so one template cache, serves the
+// whole curve: the workers=1 baseline pays the template builds and every
+// other point forks from them — exactly how a long sweep amortizes
+// construction.
 func RunBench(mode string, seeds int, workerCounts []int) (Bench, error) {
-	return RunBenchForked(mode, seeds, workerCounts, false)
-}
-
-// RunBenchForked is RunBench through the fork path when fork is set: one
-// template cache is shared across the whole curve, so the workers=1
-// baseline pays the template builds and every other point forks from
-// them — exactly how a long sweep amortizes construction.
-func RunBenchForked(mode string, seeds int, workerCounts []int, fork bool) (Bench, error) {
-	fn, replay, err := ForModeForked(mode, fork)
+	fn, replay, err := ForMode(mode)
 	if err != nil {
 		return Bench{}, err
 	}
@@ -94,7 +84,7 @@ func RunBenchForked(mode string, seeds int, workerCounts []int, fork bool) (Benc
 	}
 	counts := normalizeWorkerCounts(workerCounts)
 
-	b := Bench{Mode: mode, Seeds: seeds, Fork: fork}
+	b := Bench{Mode: mode, Seeds: seeds}
 	var baseReport, baseFailures string
 	var baseMetrics []byte
 	var baseSeconds float64

@@ -6,67 +6,59 @@ import (
 	"rchdroid/internal/obs"
 )
 
-// sweepBytes runs one mode over [1, count] at the given worker count and
+// sweepBytes runs fn over [1, count] at the given worker count and
 // returns everything the byte-identity contract covers: the merged
 // report, the failure output, and the canonical metrics dump.
-func sweepBytes(t *testing.T, mode string, count, workers int, fork bool) (string, string, string) {
-	t.Helper()
-	fn, replay, err := ForModeForked(mode, fork)
-	if err != nil {
-		t.Fatal(err)
-	}
+func sweepBytes(mode, replay string, fn ObsRunner, count, workers int) [3]string {
 	reg := obs.NewRegistry()
 	rep := RunObs(Config{Mode: mode, Start: 1, Count: count, Replay: replay, Workers: workers, Obs: reg}, fn)
-	return rep.String(), rep.FailureOutput(), string(reg.Snapshot().MarshalCanonical())
+	return [3]string{rep.String(), rep.FailureOutput(), string(reg.Snapshot().MarshalCanonical())}
 }
 
-// TestForkSweepByteIdentical is the fork facility's acceptance gate: a
+// assertForkMatchesFresh byte-compares a forked sweep against the fresh
+// reference: merged report, failure output and canonical metrics dump.
+func assertForkMatchesFresh(t *testing.T, label string, fresh, fork [3]string) {
+	t.Helper()
+	for i, what := range []string{"report", "failure output", "canonical metrics"} {
+		if fork[i] != fresh[i] {
+			t.Fatalf("%s: forked %s differs from fresh build:\n--- fresh\n%s\n--- fork\n%s",
+				label, what, fresh[i], fork[i])
+		}
+	}
+}
+
+// TestForkSweepByteIdentical is the fork path's acceptance gate: a
 // 64-seed sweep through forked worlds produces the same merged report,
 // failure output, and canonical metrics dump — byte for byte — as the
-// fresh-build sweep, for both differential modes, sequentially and
-// under a worker pool (which also makes this the race-detector pass
-// over concurrent Template.Fork calls).
+// fresh-build reference (a nil template cache), for both differential
+// modes, sequentially and under a worker pool (which also makes this
+// the race-detector pass over concurrent Template.Fork calls).
 func TestForkSweepByteIdentical(t *testing.T) {
 	const seeds = 64
-	for _, mode := range []string{"oracle", "guard"} {
-		t.Run(mode, func(t *testing.T) {
-			freshRep, freshFail, freshCanon := sweepBytes(t, mode, seeds, 1, false)
+	for _, tc := range []struct {
+		mode, replay string
+		fresh, fork  func() ObsRunner
+	}{
+		{"oracle", ReplayOracle, func() ObsRunner { return oracleRunner(nil) }, OracleRunner},
+		{"guard", ReplayGuard, func() ObsRunner { return guardRunner(nil) }, GuardRunner},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			fresh := sweepBytes(tc.mode, tc.replay, tc.fresh(), seeds, 1)
 			for _, workers := range []int{1, 8} {
-				forkRep, forkFail, forkCanon := sweepBytes(t, mode, seeds, workers, true)
-				if forkRep != freshRep {
-					t.Fatalf("workers=%d: forked report differs from fresh build:\n--- fresh\n%s--- fork\n%s",
-						workers, freshRep, forkRep)
-				}
-				if forkFail != freshFail {
-					t.Fatalf("workers=%d: forked failure output differs from fresh build:\n--- fresh\n%s--- fork\n%s",
-						workers, freshFail, forkFail)
-				}
-				if forkCanon != freshCanon {
-					t.Fatalf("workers=%d: forked canonical metrics differ from fresh build:\n--- fresh\n%s\n--- fork\n%s",
-						workers, freshCanon, forkCanon)
-				}
+				assertForkMatchesFresh(t, tc.mode, fresh, sweepBytes(tc.mode, tc.replay, tc.fork(), seeds, workers))
 			}
 		})
 	}
 }
 
-// TestForkBenchRecordsFork pins the BENCH_sweep.json shape: a forked
-// curve is labeled fork=true and stays report/metrics-identical to its
-// own workers=1 baseline.
-func TestForkBenchRecordsFork(t *testing.T) {
-	b, err := RunBenchForked("oracle", 16, []int{2}, true)
-	if err != nil {
-		t.Fatal(err)
+// TestForkOracleSweep512 is the full-size fork gate scripts/ci.sh runs:
+// the 512-seed oracle sweep at GOMAXPROCS workers, forked worlds against
+// the fresh-build reference.
+func TestForkOracleSweep512(t *testing.T) {
+	if testing.Short() {
+		t.Skip("512-seed gate; TestForkSweepByteIdentical covers short mode")
 	}
-	if !b.Fork {
-		t.Fatal("forked bench curve not labeled fork=true")
-	}
-	for _, m := range b.Curve {
-		if !m.ReportIdentical || !m.MetricsIdentical {
-			t.Fatalf("forked bench workers=%d not identical to baseline: %+v", m.Workers, m)
-		}
-		if m.Failures != 0 {
-			t.Fatalf("forked bench workers=%d failed %d seeds", m.Workers, m.Failures)
-		}
-	}
+	const seeds = 512
+	fresh := sweepBytes("oracle", ReplayOracle, oracleRunner(nil), seeds, 0)
+	assertForkMatchesFresh(t, "oracle", fresh, sweepBytes("oracle", ReplayOracle, OracleRunner(), seeds, 0))
 }

@@ -24,14 +24,16 @@ const (
 	ReplayBoot   = "go run ./cmd/rchsweep -mode=boot -start=%d -seeds=1 -v"
 )
 
-// RCHInstaller wires RCHDroid (with its core-side chaos hooks) onto a
-// fresh system — the seam through which the sweep reaches core without
-// the oracle package importing it (core's tests import the oracle).
+// RCHInstaller is RCHInstallerObs(nil). It is kept only for the
+// perfbench module, which calls it; new code passes the shard it has.
 func RCHInstaller() oracle.Installer { return RCHInstallerObs(nil) }
 
-// RCHInstallerObs is RCHInstaller with the worker's metric shard routed
-// into core, so handler counters and phase histograms land in the
-// registry. A nil shard disables observation (identical behavior).
+// RCHInstallerObs wires RCHDroid (with its core-side chaos hooks) onto a
+// fresh system — the seam through which the sweep reaches core without
+// the oracle package importing it (core's tests import the oracle). The
+// worker's metric shard is routed into core, so handler counters and
+// phase histograms land in the registry. A nil shard disables
+// observation (identical behavior).
 func RCHInstallerObs(sh *obs.Shard) oracle.Installer {
 	return oracle.Installer{
 		Name: "RCHDroid",
@@ -44,14 +46,12 @@ func RCHInstallerObs(sh *obs.Shard) oracle.Installer {
 	}
 }
 
-// GuardedInstaller wires RCHDroid with the supervision layer armed. The
-// Guard getter reads back the guard the most recent Install created, so
-// the verdict carries the supervision summary. Each call returns an
-// independent installer — workers must never share one.
-func GuardedInstaller() oracle.Installer { return GuardedInstallerObs(nil) }
-
-// GuardedInstallerObs is GuardedInstaller with the worker's metric
-// shard routed into core and the guard's decision stream.
+// GuardedInstallerObs wires RCHDroid with the supervision layer armed,
+// with the worker's metric shard (nil disables observation) routed into
+// core and the guard's decision stream. The Guard getter reads back the
+// guard the most recent Install created, so the verdict carries the
+// supervision summary. Each call returns an independent installer —
+// workers must never share one.
 func GuardedInstallerObs(sh *obs.Shard) oracle.Installer {
 	var g *guard.Guard
 	return oracle.Installer{
@@ -103,29 +103,31 @@ func foldVerdict(sh *obs.Shard, v oracle.Verdict) {
 }
 
 // OracleRunner runs one seed of the differential RCHDroid-vs-stock
-// oracle under the Light chaos preset.
-func OracleRunner() ObsRunner { return OracleRunnerForked(nil) }
+// oracle under the Light chaos preset. Every worker sharing the runner
+// forks its per-seed worlds from one template cache, built on first use.
+func OracleRunner() ObsRunner { return oracleRunner(device.NewTemplateCache()) }
 
-// OracleRunnerForked is OracleRunner with an optional fork cache shared
-// by every worker: per-seed worlds fork from settled pre-chaos templates
-// instead of being rebuilt, with byte-identical verdicts. A nil cache
-// builds fresh worlds.
-func OracleRunnerForked(forker *device.TemplateCache) ObsRunner {
-	return func(seed uint64, sh *obs.Shard) Outcome {
-		v := oracle.DifferentialWith(seed, RCHInstallerObs(sh), chaos.Light(), forker)
-		foldVerdict(sh, v)
-		return verdictOutcome(v)
-	}
+// oracleRunner is OracleRunner over the given cache; tests pass nil to
+// get the fresh-build reference.
+func oracleRunner(forker *device.TemplateCache) ObsRunner {
+	return differentialRunner(forker, RCHInstallerObs, chaos.Light())
 }
 
 // GuardRunner runs one seed of the guarded-chaos sweep: the supervised
-// build under the heavy Guarded preset, judged mode-aware.
-func GuardRunner() ObsRunner { return GuardRunnerForked(nil) }
+// build under the heavy Guarded preset, judged mode-aware, with per-seed
+// worlds forked from one shared template cache.
+func GuardRunner() ObsRunner { return guardRunner(device.NewTemplateCache()) }
 
-// GuardRunnerForked is GuardRunner with an optional shared fork cache.
-func GuardRunnerForked(forker *device.TemplateCache) ObsRunner {
+// guardRunner is GuardRunner over the given cache (nil builds fresh).
+func guardRunner(forker *device.TemplateCache) ObsRunner {
+	return differentialRunner(forker, GuardedInstallerObs, chaos.Guarded())
+}
+
+// differentialRunner folds one seed's differential verdict under the
+// installer and chaos preset into the worker's shard.
+func differentialRunner(forker *device.TemplateCache, inst func(*obs.Shard) oracle.Installer, opts chaos.Options) ObsRunner {
 	return func(seed uint64, sh *obs.Shard) Outcome {
-		v := oracle.DifferentialWith(seed, GuardedInstallerObs(sh), chaos.Guarded(), forker)
+		v := oracle.DifferentialWith(seed, inst(sh), opts, forker)
 		foldVerdict(sh, v)
 		return verdictOutcome(v)
 	}
@@ -153,24 +155,15 @@ func MonkeyRunner() ObsRunner {
 }
 
 // BootRunner measures device spin-up throughput: each seed stamps out
-// one settled pre-chaos world and verifies it is ready to run. This is
-// the rchserve workload — worlds/sec, nothing else — and the bench mode
-// where the fork facility's construction speedup is visible undiluted:
-// a chaos sweep amortizes construction against the run, a boot sweep is
-// construction.
-func BootRunner() ObsRunner { return BootRunnerForked(nil) }
-
-// BootRunnerForked is BootRunner through the fork path when a cache is
-// given: every seed's world forks from one settled template.
-func BootRunnerForked(forker *device.TemplateCache) ObsRunner {
+// one settled pre-chaos world, forked from one shared template, and
+// verifies it is ready to run. This is the rchserve workload —
+// worlds/sec, nothing else: a chaos sweep amortizes construction against
+// the run, a boot sweep is construction.
+func BootRunner() ObsRunner {
+	forker := device.NewTemplateCache()
 	spec := device.Spec{App: func() *app.App { return oracle.OracleApp(16) }}
 	return func(seed uint64, sh *obs.Shard) Outcome {
-		var w *device.World
-		if forker != nil {
-			w = forker.Fork("boot", spec, seed, nil)
-		} else {
-			w = device.New(spec, seed, nil)
-		}
+		w := forker.Fork("boot", spec, seed, nil)
 		sh.Counter("boot_worlds_total", "device worlds spun up", obs.Sim).Inc()
 		if fg := w.Proc.Thread().ForegroundActivity(); w.Proc.Crashed() || fg == nil {
 			return Outcome{OK: false, Detail: fmt.Sprintf("seed=%d boot failed", seed),
@@ -180,29 +173,20 @@ func BootRunnerForked(forker *device.TemplateCache) ObsRunner {
 	}
 }
 
-// ForMode resolves a mode name to its runner and replay format.
+// ForMode resolves a mode name to its runner and replay format. The
+// oracle, guard and boot runners each share one template cache across
+// the worker pool. Monkey stress builds fresh: its relaunch-heavy runs
+// spend almost no time in world construction.
 func ForMode(mode string) (ObsRunner, string, error) {
-	return ForModeForked(mode, false)
-}
-
-// ForModeForked is ForMode with the fork toggle: when fork is set, the
-// oracle and guard runners share one template cache across the worker
-// pool. Monkey stress always builds fresh (its relaunch-heavy runs spend
-// almost no time in world construction).
-func ForModeForked(mode string, fork bool) (ObsRunner, string, error) {
-	var forker *device.TemplateCache
-	if fork {
-		forker = device.NewTemplateCache()
-	}
 	switch mode {
 	case "oracle":
-		return OracleRunnerForked(forker), ReplayOracle, nil
+		return OracleRunner(), ReplayOracle, nil
 	case "guard":
-		return GuardRunnerForked(forker), ReplayGuard, nil
+		return GuardRunner(), ReplayGuard, nil
 	case "monkey":
 		return MonkeyRunner(), ReplayMonkey, nil
 	case "boot":
-		return BootRunnerForked(forker), ReplayBoot, nil
+		return BootRunner(), ReplayBoot, nil
 	}
 	return nil, "", fmt.Errorf("unknown sweep mode %q (want oracle, guard, monkey or boot)", mode)
 }

@@ -24,7 +24,7 @@ import (
 	"rchdroid/internal/obs"
 )
 
-// Outcome is what a Runner reports for one seed. Detail and Failures
+// Outcome is what an ObsRunner reports for one seed. Detail and Failures
 // must derive from the seed alone — no wall-clock time, no worker
 // identity — so the merged report stays byte-identical at any worker
 // count.
@@ -34,16 +34,13 @@ type Outcome struct {
 	Failures []string // deterministic failure lines, empty when OK
 }
 
-// Runner executes one seeded scenario. It must not share mutable
+// ObsRunner executes one seeded scenario. It must not share mutable
 // simulation state across calls: each invocation boots its own world.
-type Runner func(seed uint64) Outcome
-
-// ObsRunner is a Runner with a metrics shard: the engine hands each
-// worker its own lock-free shard, and every per-seed observation the
-// runner records must derive from the seed alone — then any
-// seed→worker partition merges to the same canonical aggregate. The
-// shard is nil when the sweep runs without a registry; obs handles
-// no-op on nil.
+// The engine hands each worker its own lock-free metrics shard, and
+// every per-seed observation the runner records must derive from the
+// seed alone — then any seed→worker partition merges to the same
+// canonical aggregate. The shard is nil when the sweep runs without a
+// registry; obs handles no-op on nil.
 type ObsRunner func(seed uint64, sh *obs.Shard) Outcome
 
 // Config describes one sweep.
@@ -111,14 +108,6 @@ type Report struct {
 	Results     []SeedResult
 }
 
-// Run executes the sweep. Seeds are claimed from an atomic cursor and
-// each result is written to its own slot of a seed-indexed slice, so
-// the merge is free and the output order is the seed order by
-// construction.
-func Run(cfg Config, fn Runner) *Report {
-	return RunObs(cfg, func(seed uint64, _ *obs.Shard) Outcome { return fn(seed) })
-}
-
 // SeedObs is one worker's cached engine-metric handles: the per-seed
 // counters every sweep dump carries (seeds/failures/panics in the sim
 // domain, wall latency quarantined in the wall domain). Exported so
@@ -161,9 +150,12 @@ func (w *SeedObs) Record(res *SeedResult) {
 	w.wall.ObserveDuration(res.Wall)
 }
 
-// RunObs is Run with per-worker metrics shards. The merged report AND
-// the canonical metrics snapshot are byte-identical at any worker
-// count: seed results merge by slot, metric shards merge commutatively.
+// RunObs executes the sweep with per-worker metrics shards. Seeds are
+// claimed from an atomic cursor and each result is written to its own
+// slot of a seed-indexed slice, so the merge is free and the output
+// order is the seed order by construction. The merged report AND the
+// canonical metrics snapshot are byte-identical at any worker count:
+// seed results merge by slot, metric shards merge commutatively.
 func RunObs(cfg Config, fn ObsRunner) *Report {
 	if cfg.Start == 0 && !cfg.ZeroBased {
 		cfg.Start = 1

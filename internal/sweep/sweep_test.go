@@ -98,7 +98,7 @@ func TestMonkeyModeParallel(t *testing.T) {
 // and surface it as a failure with the replay line — at any worker
 // count, with identical canonical bytes.
 func TestPanicAttribution(t *testing.T) {
-	fn := func(seed uint64) Outcome {
+	fn := func(seed uint64, _ *obs.Shard) Outcome {
 		if seed == 5 {
 			panic("boom on seed 5")
 		}
@@ -106,9 +106,9 @@ func TestPanicAttribution(t *testing.T) {
 	}
 	cfg := Config{Mode: "test", Start: 1, Count: 9, Replay: "rerun -seed=%d"}
 	cfg.Workers = 1
-	seq := Run(cfg, fn)
+	seq := RunObs(cfg, fn)
 	cfg.Workers = 4
-	par := Run(cfg, fn)
+	par := RunObs(cfg, fn)
 
 	if seq.String() != par.String() || seq.FailureOutput() != par.FailureOutput() {
 		t.Fatalf("panic run not byte-identical across worker counts:\n%s----\n%s", seq.String(), par.String())
@@ -148,10 +148,10 @@ func TestPanicAttribution(t *testing.T) {
 // TestSeedIndexedMerge pins the merge layout: Results[i] is seed
 // Start+i, worker counts are clamped sanely, and empty sweeps work.
 func TestSeedIndexedMerge(t *testing.T) {
-	fn := func(seed uint64) Outcome {
+	fn := func(seed uint64, _ *obs.Shard) Outcome {
 		return Outcome{OK: true, Detail: fmt.Sprintf("seed=%d", seed)}
 	}
-	rep := Run(Config{Mode: "test", Start: 100, Count: 7, Workers: 32}, fn)
+	rep := RunObs(Config{Mode: "test", Start: 100, Count: 7, Workers: 32}, fn)
 	if rep.Workers != 7 {
 		t.Fatalf("workers not capped at count: %d", rep.Workers)
 	}
@@ -160,12 +160,12 @@ func TestSeedIndexedMerge(t *testing.T) {
 			t.Fatalf("Results[%d].Seed = %d, want %d", i, res.Seed, 100+i)
 		}
 	}
-	empty := Run(Config{Mode: "test", Count: 0}, fn)
+	empty := RunObs(Config{Mode: "test", Count: 0}, fn)
 	if !empty.OK() || len(empty.Results) != 0 {
 		t.Fatalf("empty sweep misbehaved: %+v", empty)
 	}
 	// Start 0 defaults to 1: seed 0 is the chaos layer's "off" value.
-	one := Run(Config{Mode: "test", Count: 1}, fn)
+	one := RunObs(Config{Mode: "test", Count: 1}, fn)
 	if one.Results[0].Seed != 1 {
 		t.Fatalf("Start=0 ran seed %d, want 1", one.Results[0].Seed)
 	}

@@ -1,17 +1,21 @@
 package sweep
 
-import "testing"
+import (
+	"testing"
+
+	"rchdroid/internal/obs"
+)
 
 // TestZeroBasedStart pins the two Start-coercion contracts: a seeded
 // sweep treats 0 as "off" and starts at 1, while the schedule-space
 // explorer's index walks (ZeroBased) keep 0 as a real first index — the
 // empty schedule.
 func TestZeroBasedStart(t *testing.T) {
-	runner := func(seed uint64) Outcome {
+	runner := func(seed uint64, _ *obs.Shard) Outcome {
 		return Outcome{OK: true, Detail: "ran"}
 	}
 
-	plain := Run(Config{Mode: "oracle", Start: 0, Count: 3, Workers: 1}, runner)
+	plain := RunObs(Config{Mode: "oracle", Start: 0, Count: 3, Workers: 1}, runner)
 	if plain.Start != 1 {
 		t.Errorf("seeded sweep Start = %d, want 1 (seed 0 is the chaos-off sentinel)", plain.Start)
 	}
@@ -19,7 +23,7 @@ func TestZeroBasedStart(t *testing.T) {
 		t.Errorf("seeded sweep first seed = %d, want 1", got)
 	}
 
-	zero := Run(Config{Mode: "explore", Start: 0, Count: 3, Workers: 1, ZeroBased: true}, runner)
+	zero := RunObs(Config{Mode: "explore", Start: 0, Count: 3, Workers: 1, ZeroBased: true}, runner)
 	if zero.Start != 0 {
 		t.Errorf("zero-based sweep Start = %d, want 0", zero.Start)
 	}
@@ -30,10 +34,10 @@ func TestZeroBasedStart(t *testing.T) {
 	}
 
 	// A non-zero Start is never touched either way.
-	if rep := Run(Config{Start: 7, Count: 1, Workers: 1, ZeroBased: true}, runner); rep.Start != 7 {
+	if rep := RunObs(Config{Start: 7, Count: 1, Workers: 1, ZeroBased: true}, runner); rep.Start != 7 {
 		t.Errorf("ZeroBased perturbed a non-zero Start: %d", rep.Start)
 	}
-	if rep := Run(Config{Start: 7, Count: 1, Workers: 1}, runner); rep.Start != 7 {
+	if rep := RunObs(Config{Start: 7, Count: 1, Workers: 1}, runner); rep.Start != 7 {
 		t.Errorf("plain sweep perturbed a non-zero Start: %d", rep.Start)
 	}
 }

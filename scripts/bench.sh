@@ -13,13 +13,11 @@
 # dump are byte-compared against the workers=1 baseline, and the bench
 # fails on any drift.
 #
-# Each mode is measured twice: fresh builds, and with -fork (every
-# per-seed world forked from one settled pre-chaos template — curves
-# with "fork": true). The stderr log records the fork speedup per mode;
-# it is largest on the boot mode, whose seeds are pure world
-# construction, and bounded by the chaos-to-construction ratio on the
-# oracle/guard sweeps (Amdahl). Boot runs a larger seed count
-# (mode:seeds syntax) because each of its seeds is microseconds.
+# Every per-seed world is forked from one settled pre-chaos template.
+# Boot runs a larger seed count (mode:seeds syntax) because each of its
+# seeds is microseconds. For the construction cost alone (fresh build
+# vs template fork), run
+#   go test -run '^$' -bench 'FreshBuild|TemplateFork' ./internal/device
 #
 #
 # After the sweep curve, the replay bench (cmd/rchreplay) generates a
@@ -53,7 +51,7 @@ while [ $# -gt 0 ]; do
     shift
 done
 
-go run ./cmd/rchsweep -bench -mode="oracle,guard,boot:$bootseeds" -fork \
+go run ./cmd/rchsweep -bench -mode="oracle,guard,boot:$bootseeds" \
     -seeds="$seeds" -bench-workers="$workers" -bench-out "$out"
 
 echo "bench.sh: replay bench (span ${replayspan}ms at ${replayspeeds}x)" >&2

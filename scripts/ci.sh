@@ -21,11 +21,13 @@
 #                      dump lands in ./artifacts/ and the run enforces
 #                      the seeds/sec floor (RCH_SEEDS_FLOOR, default
 #                      250 — ~10× headroom under the measured ~2–3k)
-#   8. fork gate     — the same 512-seed oracle sweep through the device
-#                      fork path (-fork: every per-seed world forked from
-#                      one settled pre-chaos template): merged report AND
-#                      canonical metrics dump must be byte-identical to
-#                      stage 7's fresh-build run
+#   8. fork gate     — internal/sweep TestForkOracleSweep512: the same
+#                      512 oracle seeds through the sweeps' only
+#                      construction path (every per-seed world forked
+#                      from one settled pre-chaos template) and through
+#                      the fresh-build reference (a nil template cache):
+#                      merged report, failure output AND canonical
+#                      metrics dump must be byte-identical
 #   9. determinism   — 64-seed sequential cross-check: -workers=1 and
 #                      -workers=N merged reports AND canonical metric
 #                      dumps must be byte-identical
@@ -67,6 +69,7 @@
 # writes the failing seed's Perfetto trace to ./artifacts/.
 set -eu
 cd "$(dirname "$0")/.."
+mkdir -p artifacts
 
 echo "==> gofmt -l"
 fmt=$(gofmt -l .)
@@ -98,10 +101,7 @@ go run ./cmd/rchsweep -mode=oracle -seeds=512 -trace-on-fail \
 cat artifacts/report.oracle.txt
 
 echo "==> fork determinism gate (512-seed oracle via template forks, byte-compare vs fresh)"
-go run ./cmd/rchsweep -mode=oracle -seeds=512 -fork \
-    -metrics-out artifacts/metrics.oracle.fork.json > artifacts/report.oracle.fork.txt
-cmp artifacts/report.oracle.txt artifacts/report.oracle.fork.txt
-cmp artifacts/metrics.oracle.json artifacts/metrics.oracle.fork.json
+go test ./internal/sweep -run '^TestForkOracleSweep512$' -count=1
 
 echo "==> sequential determinism cross-check (64 seeds, reports + canonical metrics)"
 go run ./cmd/rchsweep -mode=oracle -seeds=64 -crosscheck
