@@ -223,7 +223,7 @@ func (h *ShadowHandler) HandleRuntimeChange(t *app.ActivityThread, a *app.Activi
 			h.setPendingShadow(t, a)
 			h.changesInFlight++
 			cost := m.ShadowFlipTransition + extra + h.stallFor("enterShadow(flip)")
-			observePhase(h.obs.phaseEnterShadow, cost)
+			h.obs.phaseEnterShadow.ObserveDuration(cost)
 			return cost
 		})
 	} else {
@@ -267,7 +267,7 @@ func (h *ShadowHandler) HandleRuntimeChange(t *app.ActivityThread, a *app.Activi
 			h.setPendingShadow(t, a)
 			h.changesInFlight++
 			cost := m.ShadowTransition + m.SaveState(n) + extra + h.stallFor("enterShadow")
-			observePhase(h.obs.phaseEnterShadow, cost)
+			h.obs.phaseEnterShadow.ObserveDuration(cost)
 			return cost
 		})
 	}
@@ -479,7 +479,7 @@ func (h *ShadowHandler) HandleSunnyLaunch(t *app.ActivityThread, class *app.Acti
 				cost = m.SunnySetup + m.BuildMappingQuadratic(n)
 			}
 			cost += h.stallFor("buildMapping")
-			observePhase(h.obs.phaseBuildMap, cost)
+			h.obs.phaseBuildMap.ObserveDuration(cost)
 			return "rch:buildMapping", cost, func() {
 				if shadow == nil {
 					return
@@ -566,7 +566,7 @@ func (h *ShadowHandler) HandleFlip(t *app.ActivityThread, shadowToken int, newCf
 		t.SetCurrentShadow(outgoing)
 		t.SetCurrentSunny(incoming)
 		cost := m.ConfigApply + m.SunnySetup + restoreCost + h.stallFor("flip")
-		observePhase(h.obs.phaseFlip, cost)
+		h.obs.phaseFlip.ObserveDuration(cost)
 		return cost
 	})
 	t.RunCharged("rch:flipResume", func() time.Duration {
@@ -575,7 +575,7 @@ func (h *ShadowHandler) HandleFlip(t *app.ActivityThread, shadowToken int, newCf
 			extra = incoming.Class().ExtraResumeCost
 		}
 		cost := m.ResumeBase + extra + m.WindowRelayout
-		observePhase(h.obs.phaseFlipResume, cost)
+		h.obs.phaseFlipResume.ObserveDuration(cost)
 		return cost
 	})
 	t.RunCharged("rch:flipDone", func() time.Duration {

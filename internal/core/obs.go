@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"rchdroid/internal/obs"
-)
+import "rchdroid/internal/obs"
 
 // handlerObs caches the shadow handler's metric handles so the hot path
 // pays one nil-check plus one atomic op per observation. Every value
@@ -43,6 +39,3 @@ func newHandlerObs(sh *obs.Shard) handlerObs {
 		phaseFlipResume:  sh.Histogram("core_phase_flip_resume_sim_ns", "flip-resume phase sim-clock occupancy", obs.Sim, obs.SimDurationBounds),
 	}
 }
-
-// observePhase records one executed phase's charged sim-clock cost.
-func observePhase(h *obs.Histogram, cost time.Duration) { h.ObserveDuration(cost) }

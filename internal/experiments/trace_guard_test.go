@@ -83,20 +83,20 @@ func TestGuardIdleAnchor(t *testing.T) {
 	}
 	withinPct(t, "flip ms (guard idle)", ms(guarded), 89.2, 3)
 
-	g := r.RCH.Guard
-	if !g.Enabled() {
+	g := r.RCH.Guard.Summary()
+	if !g.Enabled {
 		t.Fatal("guard not installed on the guarded rig")
 	}
-	if g.ANRs() != 0 || g.DispatchOverruns() != 0 {
+	if g.ANRs != 0 || g.DispatchOverruns != 0 {
 		t.Errorf("watchdog fired on a healthy run: %d ANRs, %d dispatch overruns",
-			g.ANRs(), g.DispatchOverruns())
+			g.ANRs, g.DispatchOverruns)
 	}
-	if g.Quarantines() != 0 || g.BreakerOpens() != 0 || g.SelfCheckFailures() != 0 {
+	if g.Quarantines != 0 || g.BreakerOpens != 0 || g.SelfCheckFailures != 0 {
 		t.Errorf("guard degraded a healthy run: %d quarantines, %d breaker opens, %d self-check failures",
-			g.Quarantines(), g.BreakerOpens(), g.SelfCheckFailures())
+			g.Quarantines, g.BreakerOpens, g.SelfCheckFailures)
 	}
-	if g.Retries() != 0 || g.TransferFailures() != 0 {
+	if g.Retries != 0 || g.TransferFailures != 0 {
 		t.Errorf("transfer path retried without faults: %d retries, %d failures",
-			g.Retries(), g.TransferFailures())
+			g.Retries, g.TransferFailures)
 	}
 }

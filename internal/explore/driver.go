@@ -11,27 +11,17 @@ import (
 	"rchdroid/internal/chaos"
 	"rchdroid/internal/config"
 	"rchdroid/internal/device"
+	"rchdroid/internal/guard"
 	"rchdroid/internal/oracle"
 	"rchdroid/internal/oracle/corpus"
-	"rchdroid/internal/sim"
 	"rchdroid/internal/view"
 )
 
 // RunResult is one scenario run under one handler and one schedule.
+// The embedded core's Essence also carries the final foreground's
+// applied configuration.
 type RunResult struct {
-	Name       string
-	Crashed    bool
-	CrashCause string
-	// Invariant holds the first lifecycle-invariant violation with its
-	// step context ("" when clean).
-	Invariant string
-	// FinalMissing is set when the run ended with no foreground activity
-	// despite not having crashed.
-	FinalMissing bool
-	// Essence is the final foreground instance's stock-persistence
-	// fingerprint plus its applied configuration, for cross-handler
-	// equality.
-	Essence string
+	oracle.RunCore
 	// Expected is the accumulated ground truth (probe fields recorded at
 	// application time); Actual is the final foreground probe. Both are
 	// sorted by field name.
@@ -46,17 +36,7 @@ type RunResult struct {
 	// order; runs whose kills captured different state are not
 	// essence-comparable.
 	KillStates []string
-	// Applied counts script steps that found a foreground target.
-	Applied   int
-	Kills     int
-	Handlings int
-	// HandlingTimes are the per-handling end-to-end sim-clock durations,
-	// seed... schedule-deterministic, for canonical metric histograms.
-	HandlingTimes     []time.Duration
-	HandlingViolation string
-	Injections        int
-	FirstInjectionAt  sim.Time
-	Guard             oracle.GuardSummary
+	Kills      int
 }
 
 // invariantsFor builds the sampling config from the scenario's declared
@@ -87,12 +67,15 @@ func fieldPrefix(className string) string {
 // the first step, so the fork's post-settle arming point is behaviorally
 // identical to a fresh build); a nil cache builds it fresh.
 func runScenario(sc *corpus.Scenario, sched Schedule, inst oracle.Installer, forker *device.TemplateCache) RunResult {
-	res := RunResult{Name: inst.Name}
+	res := RunResult{RunCore: oracle.RunCore{Name: inst.Name}}
 	var plan *chaos.Plan
 	var w *device.World
+	// g is the guard of the most recent Install: a relaunch after a kill
+	// re-installs, and scripted quarantines must reach the live process.
+	var g *guard.Guard
 	install := func(p *app.Process) {
 		if inst.Install != nil {
-			inst.Install(w.Sys, p, plan)
+			g = inst.Install(w.Sys, p, plan)
 		}
 		plan.Install(w.Sys, p)
 	}
@@ -314,11 +297,9 @@ steps:
 		case corpus.StepKill:
 			kill()
 		case corpus.StepQuarantine:
-			if inst.Guard != nil {
-				if g := inst.Guard(); g.Enabled() {
-					plan.Note(chaos.PointLifecycle, "quarantine", "forced quarantine (scripted)")
-					g.Quarantine(st.Class, "scripted: forced by corpus scenario")
-				}
+			if g.Enabled() {
+				plan.Note(chaos.PointLifecycle, "quarantine", "forced quarantine (scripted)")
+				g.Quarantine(st.Class, "scripted: forced by corpus scenario")
 			}
 		case corpus.StepIdle:
 			// the settle below is the step
@@ -384,35 +365,6 @@ steps:
 		res.Losses = oracle.ClassifyLoss(res.Expected, res.Actual)
 	}
 
-	hs := sys.HandlingTimes()
-	res.Handlings = len(hs)
-	res.HandlingTimes = append([]time.Duration(nil), hs...)
-	for i, d := range hs {
-		if d <= 0 || d > time.Second {
-			res.HandlingViolation = fmt.Sprintf("handling %d took %v, want (0, 1s]", i, d)
-			break
-		}
-	}
-	inj := plan.Injections()
-	res.Injections = len(inj)
-	if len(inj) > 0 {
-		res.FirstInjectionAt = inj[0].At
-	}
-	if inst.Guard != nil {
-		if g := inst.Guard(); g.Enabled() {
-			res.Guard = oracle.GuardSummary{
-				Enabled:           true,
-				ANRs:              g.ANRs(),
-				Retries:           g.Retries(),
-				TransferFailures:  g.TransferFailures(),
-				Quarantines:       g.Quarantines(),
-				Recoveries:        g.Recoveries(),
-				BreakerOpens:      g.BreakerOpens(),
-				SelfCheckFailures: g.SelfCheckFailures(),
-				FirstQuarantineAt: g.FirstQuarantineAt(),
-				Modes:             g.Modes(),
-			}
-		}
-	}
+	res.Finish(sys, plan, g)
 	return res
 }

@@ -73,16 +73,8 @@ func (v *Verdict) judge(sc *corpus.Scenario) {
 	}
 
 	r := &v.RCH
-	quarantined := r.Guard.Enabled && r.Guard.Quarantines > 0
-	if r.Crashed {
-		fail("%s crashed: %s", r.Name, r.CrashCause)
-	}
-	if r.Invariant != "" {
-		fail("%s invariant: %s", r.Name, r.Invariant)
-	}
-	if r.FinalMissing {
-		fail("%s: no foreground activity at end of scenario", r.Name)
-	}
+	quarantined := r.Guard.Quarantines > 0
+	r.JudgeRCH(fail)
 	for _, l := range r.KillLosses {
 		fail("%s: kill dropped saved state: %s", r.Name, l)
 	}
@@ -98,25 +90,7 @@ func (v *Verdict) judge(sc *corpus.Scenario) {
 			fail("%s lost user state: %s", r.Name, l)
 		}
 	}
-	if r.HandlingViolation != "" && !(r.Guard.Enabled && r.Guard.ANRs > 0) {
-		fail("%s: %s", r.Name, r.HandlingViolation)
-	}
-	if r.Guard.Enabled {
-		if quarantined {
-			if r.Injections == 0 {
-				fail("%s: quarantined with no injected fault", r.Name)
-			} else if r.Guard.FirstQuarantineAt < r.FirstInjectionAt {
-				fail("%s: first quarantine at %v precedes first injection at %v",
-					r.Name, r.Guard.FirstQuarantineAt, r.FirstInjectionAt)
-			}
-		}
-		if r.Guard.BreakerOpens > 0 && r.Injections == 0 {
-			fail("%s: breaker opened with no injected fault", r.Name)
-		}
-		if r.Guard.SelfCheckFailures > 0 && r.Injections == 0 {
-			fail("%s: self-check failed with no injected fault", r.Name)
-		}
-	}
+	r.JudgeGuard(fail)
 
 	s := &v.Stock
 	if s.Crashed && !sc.StockMayCrash {
@@ -126,15 +100,7 @@ func (v *Verdict) judge(sc *corpus.Scenario) {
 		fail("%s: kill dropped saved state: %s", s.Name, l)
 	}
 	if !s.Crashed {
-		if s.Invariant != "" {
-			fail("%s invariant: %s", s.Name, s.Invariant)
-		}
-		if s.HandlingViolation != "" {
-			fail("%s: %s", s.Name, s.HandlingViolation)
-		}
-		if s.FinalMissing {
-			fail("%s: no foreground activity at end of scenario", s.Name)
-		}
+		s.JudgeStock(fail)
 		for _, l := range s.Losses {
 			if !sc.MayLose(l.Bucket) {
 				fail("%s: unclassified loss: %s", s.Name, l)
@@ -150,12 +116,10 @@ func (v *Verdict) judge(sc *corpus.Scenario) {
 	}
 }
 
-// InstallerFor builds a fresh default installer for the scenario:
+// InstallerFor builds the default installer for the scenario:
 // supervised RCHDroid for guarded scenarios, plain RCHDroid otherwise,
 // with the worker's metric shard routed into core (and the guard, for
-// guarded scenarios). A nil shard disables observation. Installers are
-// stateful (the guard getter), so every run needs its own — never share
-// one across workers.
+// guarded scenarios). A nil shard disables observation.
 func InstallerFor(sc *corpus.Scenario, sh *obs.Shard) oracle.Installer {
 	if sc.Guarded {
 		return sweep.GuardedInstallerObs(sh)
@@ -202,10 +166,6 @@ type Options struct {
 	// resume point.
 	Start uint64
 	Count int
-	// Installer overrides the per-run RCHDroid installer factory (ablation
-	// studies run deliberately broken builds through the same oracle).
-	// Overridden installers bypass the core-side metric shard wiring.
-	Installer func() oracle.Installer
 	// Obs, when set, collects the exploration's metrics: schedule and
 	// failure counts, stock crash/loss classification tallies, handling
 	// latency histograms, and the frontier gauge. Sim-domain values are
@@ -283,10 +243,6 @@ func explore(sc *corpus.Scenario, opts Options, forker *device.TemplateCache) *R
 	if opts.Count <= 0 || count > size-start {
 		count = size - start
 	}
-	factory := func(sh *obs.Shard) oracle.Installer { return InstallerFor(sc, sh) }
-	if opts.Installer != nil {
-		factory = func(*obs.Shard) oracle.Installer { return opts.Installer() }
-	}
 	crashes := make([]bool, count)
 	tallies := make([][oracle.NumLossBuckets]int, count)
 	rep := sweep.RunObs(sweep.Config{
@@ -299,7 +255,7 @@ func explore(sc *corpus.Scenario, opts Options, forker *device.TemplateCache) *R
 		Obs:       opts.Obs,
 		Stop:      opts.Stop,
 	}, func(idx uint64, sh *obs.Shard) sweep.Outcome {
-		v := RunSchedule(sc, sp, idx, factory(sh), forker)
+		v := RunSchedule(sc, sp, idx, InstallerFor(sc, sh), forker)
 		i := idx - start
 		crashes[i] = v.Stock.Crashed
 		tallies[i] = oracle.TallyLosses(v.Stock.Losses)

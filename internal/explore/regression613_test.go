@@ -14,22 +14,20 @@ import (
 	"rchdroid/internal/sweep"
 )
 
-// guardedCountingInstaller is sweep.GuardedInstaller plus a handle on the
-// installed RCHDroid, so tests can read the handler counters after a run.
+// guardedCountingInstaller is sweep.GuardedInstallerObs plus a handle on
+// the installed RCHDroid, so tests can read the handler counters after a
+// run.
 func guardedCountingInstaller(rch **core.RCHDroid) oracle.Installer {
-	var g *guard.Guard
 	return oracle.Installer{
 		Name: "RCHDroid-guarded",
-		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) {
+		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) *guard.Guard {
 			opts := core.DefaultOptions()
 			opts.Chaos = plan
 			cfg := guard.DefaultConfig()
 			opts.Guard = &cfg
-			r := core.Install(sys, proc, opts)
-			g = r.Guard
-			*rch = r
+			*rch = core.Install(sys, proc, opts)
+			return (*rch).Guard
 		},
-		Guard: func() *guard.Guard { return g },
 	}
 }
 
@@ -37,18 +35,16 @@ func guardedCountingInstaller(rch **core.RCHDroid) oracle.Installer {
 // handling-generation guard off (core.Options.DisableSupersession) — the
 // ablation that re-creates the guarded-seed-613 stale-relaunch race.
 func supersessionAblatedInstaller() oracle.Installer {
-	var g *guard.Guard
 	return oracle.Installer{
 		Name: "RCHDroid-guarded-nosupersede",
-		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) {
+		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) *guard.Guard {
 			opts := core.DefaultOptions()
 			opts.Chaos = plan
 			opts.DisableSupersession = true
 			cfg := guard.DefaultConfig()
 			opts.Guard = &cfg
-			g = core.Install(sys, proc, opts).Guard
+			return core.Install(sys, proc, opts).Guard
 		},
-		Guard: func() *guard.Guard { return g },
 	}
 }
 

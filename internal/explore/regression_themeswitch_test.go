@@ -8,20 +8,22 @@ import (
 	"rchdroid/internal/atms"
 	"rchdroid/internal/chaos"
 	"rchdroid/internal/core"
+	"rchdroid/internal/guard"
 	"rchdroid/internal/oracle"
 	"rchdroid/internal/oracle/corpus"
 	"rchdroid/internal/sweep"
 )
 
-// countingInstaller is sweep.RCHInstaller plus a handle on the installed
+// countingInstaller is sweep.RCHInstallerObs plus a handle on the installed
 // RCHDroid, so tests can read the handler counters after a run.
 func countingInstaller(rch **core.RCHDroid) oracle.Installer {
 	return oracle.Installer{
 		Name: "RCHDroid",
-		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) {
+		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) *guard.Guard {
 			opts := core.DefaultOptions()
 			opts.Chaos = plan
 			*rch = core.Install(sys, proc, opts)
+			return (*rch).Guard
 		},
 	}
 }
@@ -32,11 +34,11 @@ func countingInstaller(rch **core.RCHDroid) oracle.Installer {
 func flipPinningAblatedInstaller() oracle.Installer {
 	return oracle.Installer{
 		Name: "RCHDroid-nopin",
-		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) {
+		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) *guard.Guard {
 			opts := core.DefaultOptions()
 			opts.Chaos = plan
 			opts.DisableFlipPinning = true
-			core.Install(sys, proc, opts)
+			return core.Install(sys, proc, opts).Guard
 		},
 	}
 }

@@ -141,6 +141,31 @@ type ladder struct {
 	recoveries     int
 }
 
+// Summary is the one tally of a guard's supervision outcomes — plain
+// data, safe for %+v-based byte-identity comparisons. The zero value
+// means "guard disabled".
+type Summary struct {
+	Enabled bool
+	// ANRs counts fired watchdog deadlines, dispatch overruns included.
+	ANRs             int
+	DispatchOverruns int
+	// Retries counts retried saved-state transfer attempts;
+	// TransferFailures counts transfers that failed every attempt.
+	Retries          int
+	TransferFailures int
+	Quarantines      int
+	Recoveries       int
+	// BreakerOpens is 0 or 1: the circuit breaker is final for the run.
+	BreakerOpens      int
+	SelfChecks        int
+	SelfCheckFailures int
+	// FirstQuarantineAt is the virtual time of the first quarantine, or
+	// 0 — the oracle correlates it against the first injected fault.
+	FirstQuarantineAt sim.Time
+	// Modes maps each supervised class to its final ladder mode.
+	Modes map[string]string
+}
+
 // armed is one pending watchdog deadline.
 type armed struct {
 	deadline sim.Time
@@ -158,7 +183,9 @@ type Guard struct {
 	classes map[string]*ladder
 	watch   map[string]map[string]*armed // class → phase → deadline
 
-	breakerOpen bool
+	// sum holds the outcome counters; its Modes stay nil (Summary reads
+	// them off the ladders).
+	sum Summary
 
 	// release, set by core.Install, releases the class's shadow
 	// machinery (shadow instance, pending snapshot) on quarantine. It
@@ -168,17 +195,6 @@ type Guard struct {
 	// aux, set by core.Install, contributes extra self-check clauses
 	// that need core-side state (essence-map coverage, dirty shadows).
 	aux func() []string
-
-	anrs              int
-	dispatchOverruns  int
-	retries           int
-	transferFailures  int
-	quarantines       int
-	recoveries        int
-	breakerOpens      int
-	selfChecks        int
-	selfCheckFailures int
-	firstQuarantine   sim.Time
 
 	decisions []Decision
 	truncated int
@@ -201,6 +217,7 @@ func New(cfg Config, sched *sim.Scheduler, proc *app.Process, sys *atms.ATMS) *G
 		sys:     sys,
 		classes: make(map[string]*ladder),
 		watch:   make(map[string]map[string]*armed),
+		sum:     Summary{Enabled: true},
 	}
 }
 
@@ -249,7 +266,7 @@ func kindMetricName(kind string) string {
 }
 
 // observeKind bumps the decision kind's counter; past the decision-log
-// cap the counters keep advancing, like the int counters do.
+// cap the counters keep advancing, like the Summary tally does.
 func (g *Guard) observeKind(kind string) {
 	if g.obsShard == nil {
 		return
@@ -296,7 +313,7 @@ func (g *Guard) Allow(class string) bool {
 	if g == nil {
 		return true
 	}
-	if g.breakerOpen {
+	if g.sum.BreakerOpens > 0 {
 		return false
 	}
 	return g.entry(class).mode == ModeActive
@@ -379,7 +396,7 @@ func (g *Guard) fire(class, phase string) {
 	if g.proc.Crashed() {
 		return
 	}
-	g.anrs++
+	g.sum.ANRs++
 	g.emit("anr", class, fmt.Sprintf("%s missed %v deadline", phase, g.deadlineFor(phase)),
 		trace.Arg{Key: "phase", Val: phase},
 		trace.Arg{Key: "deadline", Val: g.deadlineFor(phase)})
@@ -410,9 +427,9 @@ func (g *Guard) OnDispatch(name string, start sim.Time, occupancy time.Duration)
 	if g.proc.Crashed() {
 		return
 	}
-	g.dispatchOverruns++
+	g.sum.DispatchOverruns++
 	class := g.firstArmedClass()
-	g.anrs++
+	g.sum.ANRs++
 	g.emit("anr", class, fmt.Sprintf("dispatch %s occupied %v (limit %v)", name, occupancy, g.cfg.DispatchDeadline),
 		trace.Arg{Key: "phase", Val: "dispatch:" + name},
 		trace.Arg{Key: "occupancy", Val: occupancy},
@@ -479,13 +496,13 @@ func (g *Guard) Transfer(class string, save func() *bundle.Bundle, fault func(at
 		}
 		wait := g.cfg.RetryBackoff << uint(i)
 		backoff += wait
-		g.retries++
+		g.sum.Retries++
 		g.emit("retry", class, fmt.Sprintf("transfer %s, attempt %d, backoff %v", cause, i+1, wait),
 			trace.Arg{Key: "attempt", Val: i + 1},
 			trace.Arg{Key: "cause", Val: cause},
 			trace.Arg{Key: "backoff", Val: wait})
 	}
-	g.transferFailures++
+	g.sum.TransferFailures++
 	g.emit("transferFail", class, fmt.Sprintf("all %d attempts failed", attempts),
 		trace.Arg{Key: "attempts", Val: attempts})
 	return nil, backoff, false
@@ -521,9 +538,9 @@ func (g *Guard) Quarantine(class, cause string) {
 	e.pendingStock = false
 	e.quarantinedAt = g.sched.Now()
 	e.quarantines++
-	g.quarantines++
-	if g.firstQuarantine == 0 {
-		g.firstQuarantine = g.sched.Now()
+	g.sum.Quarantines++
+	if g.sum.FirstQuarantineAt == 0 {
+		g.sum.FirstQuarantineAt = g.sched.Now()
 	}
 	g.emit("quarantine", class, cause,
 		trace.Arg{Key: "cause", Val: cause},
@@ -531,9 +548,8 @@ func (g *Guard) Quarantine(class, cause string) {
 	if g.release != nil {
 		e.releasePending = true
 	}
-	if !g.breakerOpen && g.quarantinedCount() >= g.cfg.BreakerThreshold {
-		g.breakerOpen = true
-		g.breakerOpens++
+	if g.sum.BreakerOpens == 0 && g.quarantinedCount() >= g.cfg.BreakerThreshold {
+		g.sum.BreakerOpens++
 		g.emit("breakerOpen", class,
 			fmt.Sprintf("%d classes quarantined (threshold %d)", g.quarantinedCount(), g.cfg.BreakerThreshold),
 			trace.Arg{Key: "quarantined", Val: g.quarantinedCount()},
@@ -588,12 +604,12 @@ func (g *Guard) OnResumed(token int) {
 		g.emit("probation", class, fmt.Sprintf("clean stock change %d/%d", e.cleanStock, g.cfg.ProbationK),
 			trace.Arg{Key: "clean", Val: e.cleanStock},
 			trace.Arg{Key: "needed", Val: g.cfg.ProbationK})
-		if !g.breakerOpen && g.cfg.ProbationK > 0 && e.cleanStock >= g.cfg.ProbationK {
+		if g.sum.BreakerOpens == 0 && g.cfg.ProbationK > 0 && e.cleanStock >= g.cfg.ProbationK {
 			e.mode = ModeActive
 			e.cause = ""
 			e.cleanStock = 0
 			e.recoveries++
-			g.recoveries++
+			g.sum.Recoveries++
 			g.emit("recover", class, "probation passed, RCHDroid re-enabled")
 		}
 	}
@@ -607,7 +623,7 @@ func (g *Guard) SelfCheck(class string) []string {
 	if g == nil || g.proc.Crashed() {
 		return nil
 	}
-	g.selfChecks++
+	g.sum.SelfChecks++
 	th := g.proc.Thread()
 	var issues []string
 
@@ -666,7 +682,7 @@ func (g *Guard) SelfCheck(class string) []string {
 	}
 
 	if len(issues) > 0 {
-		g.selfCheckFailures++
+		g.sum.SelfCheckFailures++
 		g.emit("selfCheckFail", class, strings.Join(issues, "; "),
 			trace.Arg{Key: "issues", Val: len(issues)})
 		g.Quarantine(class, "selfcheck:"+issues[0])
@@ -693,99 +709,18 @@ func (g *Guard) SetAuxCheck(fn func() []string) {
 	g.aux = fn
 }
 
-// ANRs returns how many watchdog deadlines fired.
-func (g *Guard) ANRs() int {
+// Summary returns the supervision tally with each class's final ladder
+// mode — the zero value for a nil guard.
+func (g *Guard) Summary() Summary {
 	if g == nil {
-		return 0
+		return Summary{}
 	}
-	return g.anrs
-}
-
-// DispatchOverruns returns how many dispatches exceeded their deadline.
-func (g *Guard) DispatchOverruns() int {
-	if g == nil {
-		return 0
-	}
-	return g.dispatchOverruns
-}
-
-// Retries returns how many saved-state transfer attempts were retried.
-func (g *Guard) Retries() int {
-	if g == nil {
-		return 0
-	}
-	return g.retries
-}
-
-// TransferFailures returns how many transfers failed every attempt.
-func (g *Guard) TransferFailures() int {
-	if g == nil {
-		return 0
-	}
-	return g.transferFailures
-}
-
-// Quarantines returns how many quarantine transitions happened.
-func (g *Guard) Quarantines() int {
-	if g == nil {
-		return 0
-	}
-	return g.quarantines
-}
-
-// Recoveries returns how many probation recoveries happened.
-func (g *Guard) Recoveries() int {
-	if g == nil {
-		return 0
-	}
-	return g.recoveries
-}
-
-// BreakerOpens returns how many times the circuit breaker opened (0 or
-// 1 per run — the breaker is final).
-func (g *Guard) BreakerOpens() int {
-	if g == nil {
-		return 0
-	}
-	return g.breakerOpens
-}
-
-// BreakerOpen reports whether the circuit breaker is open.
-func (g *Guard) BreakerOpen() bool {
-	if g == nil {
-		return false
-	}
-	return g.breakerOpen
-}
-
-// SelfCheckFailures returns how many self-check passes found issues.
-func (g *Guard) SelfCheckFailures() int {
-	if g == nil {
-		return 0
-	}
-	return g.selfCheckFailures
-}
-
-// FirstQuarantineAt returns the virtual time of the first quarantine,
-// or 0 — the oracle correlates it against the first injected fault.
-func (g *Guard) FirstQuarantineAt() sim.Time {
-	if g == nil {
-		return 0
-	}
-	return g.firstQuarantine
-}
-
-// Modes returns the final ladder mode per class — plain data, safe for
-// %+v-based byte-identity comparisons.
-func (g *Guard) Modes() map[string]string {
-	if g == nil {
-		return nil
-	}
-	out := make(map[string]string, len(g.classes))
+	sum := g.sum
+	sum.Modes = make(map[string]string, len(g.classes))
 	for c, e := range g.classes {
-		out[c] = e.mode.String()
+		sum.Modes[c] = e.mode.String()
 	}
-	return out
+	return sum
 }
 
 // Decisions returns the recorded supervision events (bounded).
@@ -804,11 +739,12 @@ func (g *Guard) Report() string {
 	if g == nil {
 		return "guard: disabled\n"
 	}
+	sum := &g.sum
 	var b strings.Builder
 	fmt.Fprintf(&b, "guard: %d ANRs (%d dispatch overruns), %d transfer retries, %d transfer failures\n",
-		g.anrs, g.dispatchOverruns, g.retries, g.transferFailures)
+		sum.ANRs, sum.DispatchOverruns, sum.Retries, sum.TransferFailures)
 	fmt.Fprintf(&b, "guard: %d quarantines, %d recoveries, %d self-check failures (%d checks), breaker %s\n",
-		g.quarantines, g.recoveries, g.selfCheckFailures, g.selfChecks, map[bool]string{true: "OPEN", false: "closed"}[g.breakerOpen])
+		sum.Quarantines, sum.Recoveries, sum.SelfCheckFailures, sum.SelfChecks, map[bool]string{true: "OPEN", false: "closed"}[sum.BreakerOpens > 0])
 	names := make([]string, 0, len(g.classes))
 	for c := range g.classes {
 		names = append(names, c)

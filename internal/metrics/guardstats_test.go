@@ -14,14 +14,25 @@ import (
 	"rchdroid/internal/costmodel"
 	"rchdroid/internal/guard"
 	"rchdroid/internal/metrics"
+	"rchdroid/internal/obs"
 	"rchdroid/internal/sim"
 	"rchdroid/internal/trace"
 )
 
-// guardedRun drives a traced, guarded chaos scenario and returns the
-// tracer plus every rendered report the run feeds: the trace summary,
-// the ATMS stack dump and the guard's own report.
-func guardedRun(t *testing.T) (*trace.Tracer, string, string, string) {
+// guardedOut is what one guarded run feeds: the tracer, every rendered
+// report (the trace summary, the ATMS stack dump and the guard's own
+// report), the guard's tally and the metrics registry its decisions
+// were mirrored into.
+type guardedOut struct {
+	tracer                 *trace.Tracer
+	rendered, dump, report string
+	sum                    guard.Summary
+	reg                    *obs.Registry
+}
+
+// guardedRun drives a traced, guarded chaos scenario with an obs shard
+// wired into core and the guard.
+func guardedRun(t *testing.T) guardedOut {
 	t.Helper()
 	sched := sim.NewScheduler()
 	model := costmodel.Default()
@@ -40,6 +51,8 @@ func guardedRun(t *testing.T) (*trace.Tracer, string, string, string) {
 	opts.Chaos = plan
 	cfg := guard.DefaultConfig()
 	opts.Guard = &cfg
+	reg := obs.NewRegistry()
+	opts.Obs = reg.Shard()
 	rch := core.Install(sys, proc, opts)
 	plan.Install(sys, proc)
 	sys.LaunchApp(proc)
@@ -51,15 +64,23 @@ func guardedRun(t *testing.T) (*trace.Tracer, string, string, string) {
 		sched.Advance(3 * time.Second)
 	}
 	st := metrics.AnalyzeTrace(tracer.Events())
-	return tracer, st.Render(0), sys.DumpStack(), rch.Guard.Report()
+	return guardedOut{
+		tracer:   tracer,
+		rendered: st.Render(0),
+		dump:     sys.DumpStack(),
+		report:   rch.Guard.Report(),
+		sum:      rch.Guard.Summary(),
+		reg:      reg,
+	}
 }
 
 // TestAnalyzeTraceGuardCounters checks the guard section of the trace
 // summary: watchdog margins for the phases a healthy handling disarms,
-// and counters consistent between the in-memory trace and the guard.
+// and counters consistent between the in-memory trace, the guard's
+// tally and its guard_<kind>_total metrics.
 func TestAnalyzeTraceGuardCounters(t *testing.T) {
-	tracer, rendered, _, report := guardedRun(t)
-	st := metrics.AnalyzeTrace(tracer.Events())
+	out := guardedRun(t)
+	st := metrics.AnalyzeTrace(out.tracer.Events())
 
 	if len(st.GuardMargins) == 0 {
 		t.Fatal("no guard deadline margins collected")
@@ -76,13 +97,31 @@ func TestAnalyzeTraceGuardCounters(t *testing.T) {
 	if total == 0 {
 		t.Fatal("Guarded preset produced no guard activity in the trace")
 	}
-	if !bytes.Contains([]byte(rendered), []byte("guard:")) {
-		t.Fatalf("rendered summary misses the guard section:\n%s", rendered)
+	for _, c := range []struct {
+		counter      string
+		trace, tally int
+	}{
+		{"guard_anr_total", st.GuardANRs, out.sum.ANRs},
+		{"guard_retry_total", st.GuardRetries, out.sum.Retries},
+		{"guard_quarantine_total", st.GuardQuarantines, out.sum.Quarantines},
+		{"guard_recover_total", st.GuardRecoveries, out.sum.Recoveries},
+		{"guard_breaker_open_total", st.GuardBreakerOpens, out.sum.BreakerOpens},
+		{"guard_self_check_fail_total", st.GuardSelfCheckFails, out.sum.SelfCheckFailures},
+	} {
+		if c.trace != c.tally {
+			t.Errorf("%s: trace counts %d, guard tally %d", c.counter, c.trace, c.tally)
+		}
+		if got := out.reg.CounterValue(c.counter); got != int64(c.tally) {
+			t.Errorf("%s = %d, guard tally %d", c.counter, got, c.tally)
+		}
 	}
-	if !bytes.Contains([]byte(rendered), []byte("guard deadline margin")) {
-		t.Fatalf("rendered summary misses the margin table:\n%s", rendered)
+	if !bytes.Contains([]byte(out.rendered), []byte("guard:")) {
+		t.Fatalf("rendered summary misses the guard section:\n%s", out.rendered)
 	}
-	if report == "guard: disabled\n" {
+	if !bytes.Contains([]byte(out.rendered), []byte("guard deadline margin")) {
+		t.Fatalf("rendered summary misses the margin table:\n%s", out.rendered)
+	}
+	if out.report == "guard: disabled\n" {
 		t.Fatal("guard report claims disabled")
 	}
 }
@@ -91,7 +130,7 @@ func TestAnalyzeTraceGuardCounters(t *testing.T) {
 // durations become formatted strings) and requires the same guard
 // counters and margins — the path rchtrace takes.
 func TestGuardStatsSurviveJSONRoundTrip(t *testing.T) {
-	tracer, _, _, _ := guardedRun(t)
+	tracer := guardedRun(t).tracer
 	direct := metrics.AnalyzeTrace(tracer.Events())
 
 	var buf bytes.Buffer
@@ -127,15 +166,14 @@ func TestGuardStatsSurviveJSONRoundTrip(t *testing.T) {
 // scenario and compares every rendered report byte for byte — the
 // export-determinism contract for the summaries the CLI prints.
 func TestReportsByteIdenticalAcrossRuns(t *testing.T) {
-	_, render1, dump1, report1 := guardedRun(t)
-	_, render2, dump2, report2 := guardedRun(t)
-	if render1 != render2 {
-		t.Fatalf("trace summaries differ between identical runs:\n%s----\n%s", render1, render2)
+	a, b := guardedRun(t), guardedRun(t)
+	if a.rendered != b.rendered {
+		t.Fatalf("trace summaries differ between identical runs:\n%s----\n%s", a.rendered, b.rendered)
 	}
-	if dump1 != dump2 {
-		t.Fatalf("stack dumps differ between identical runs:\n%s----\n%s", dump1, dump2)
+	if a.dump != b.dump {
+		t.Fatalf("stack dumps differ between identical runs:\n%s----\n%s", a.dump, b.dump)
 	}
-	if report1 != report2 {
-		t.Fatalf("guard reports differ between identical runs:\n%s----\n%s", report1, report2)
+	if a.report != b.report {
+		t.Fatalf("guard reports differ between identical runs:\n%s----\n%s", a.report, b.report)
 	}
 }

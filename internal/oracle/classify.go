@@ -3,8 +3,6 @@ package oracle
 import (
 	"fmt"
 	"sort"
-
-	"rchdroid/internal/app"
 )
 
 // LossBucket locates where a lost piece of user state lived, following
@@ -137,9 +135,3 @@ func FormatTally(t [NumLossBuckets]int) string {
 	}
 	return s
 }
-
-// Essence exposes the oracle's stock-persistence fingerprint (the
-// onSaveInstanceState bundle plus the view-tree shape) so the
-// schedule-space explorer can reuse the exact same cross-handler
-// equality the seeded oracle judges with.
-func Essence(a *app.Activity) string { return essenceOf(a) }

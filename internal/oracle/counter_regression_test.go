@@ -9,6 +9,7 @@ import (
 	"rchdroid/internal/atms"
 	"rchdroid/internal/chaos"
 	"rchdroid/internal/core"
+	"rchdroid/internal/guard"
 	"rchdroid/internal/obs"
 	"rchdroid/internal/oracle"
 	"rchdroid/internal/sweep"
@@ -23,10 +24,10 @@ import (
 func corruptingInstaller(name string, bad any) oracle.Installer {
 	return oracle.Installer{
 		Name: name,
-		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) {
+		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) *guard.Guard {
 			opts := core.DefaultOptions()
 			opts.Chaos = plan
-			core.Install(sys, proc, opts)
+			rch := core.Install(sys, proc, opts)
 			var tick func()
 			tick = func() {
 				if fg := proc.Thread().ForegroundActivity(); fg != nil {
@@ -35,6 +36,7 @@ func corruptingInstaller(name string, bad any) oracle.Installer {
 				proc.PostApp("corruptCounter", 300*time.Millisecond, tick)
 			}
 			proc.PostApp("corruptCounter", 300*time.Millisecond, tick)
+			return rch.Guard
 		},
 	}
 }

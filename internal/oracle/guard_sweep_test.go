@@ -21,9 +21,8 @@ var (
 )
 
 // guardedInstaller wires RCHDroid with the supervision layer armed —
-// shared with the sweep engine; each call returns an independent
-// installer whose Guard getter reads back the guard the most recent
-// Install created, so the verdict carries the supervision summary.
+// shared with the sweep engine; its Install returns the guard it armed,
+// so the verdict carries the supervision summary.
 func guardedInstaller() oracle.Installer { return sweep.GuardedInstallerObs(nil) }
 
 // guardFailureTrace mirrors failureTrace for the guarded sweep: it

@@ -19,30 +19,14 @@ import (
 
 // Installer wires a change-handling scheme onto a freshly booted
 // system. A nil Install leaves the stock Android-10 restart handler in
-// place. The oracle package cannot import internal/core (core's tests
-// import the oracle), so callers pass core.Install through this seam.
+// place. Install returns the supervision guard it armed, or nil when the
+// scheme runs unguarded; the run keeps the guard of its most recent
+// Install, so the result carries its supervision summary. The oracle
+// package cannot import internal/core (core's tests import the oracle),
+// so callers pass core.Install through this seam.
 type Installer struct {
 	Name    string
-	Install func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan)
-	// Guard, if set, returns the guard armed by the most recent Install
-	// call, so the run result can carry its supervision summary.
-	Guard func() *guard.Guard
-}
-
-// GuardSummary captures the supervision layer's decisions for one run.
-// The zero value means "guard disabled".
-type GuardSummary struct {
-	Enabled           bool
-	ANRs              int
-	Retries           int
-	TransferFailures  int
-	Quarantines       int
-	Recoveries        int
-	BreakerOpens      int
-	SelfCheckFailures int
-	FirstQuarantineAt sim.Time
-	// Modes maps each supervised class to its final ladder mode.
-	Modes map[string]string
+	Install func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) *guard.Guard
 }
 
 // ModelState is the ground-truth user state of the oracle app, read
@@ -57,8 +41,10 @@ type ModelState struct {
 	Counter int64
 }
 
-// RunResult is one run of a scenario under one handler.
-type RunResult struct {
+// RunCore is what every differential run records, whichever driver
+// ran it: the seeded oracle embeds it in RunResult, the schedule-space
+// explorer in its own result type.
+type RunCore struct {
 	Name       string
 	Crashed    bool
 	CrashCause string
@@ -72,33 +58,116 @@ type RunResult struct {
 	// onSaveInstanceState bundle (view subtree the stock relaunch would
 	// carry, fragments, app-private section) plus the view-tree shape.
 	Essence string
+	// Applied counts script interactions that found a foreground target.
+	Applied   int
+	Handlings int
+	// HandlingTimes are the per-handling end-to-end sim-clock durations
+	// (config change at the ATMS → resume), in handling order. Sim-clock
+	// values are seed-deterministic, so aggregate consumers may fold
+	// them into canonical metric histograms.
+	HandlingTimes []time.Duration
+	// HandlingViolation is the first out-of-bounds change-handling time.
+	HandlingViolation string
+	Injections        int
+	// FirstInjectionAt is the virtual time of the first landed fault
+	// (zero when no fault landed).
+	FirstInjectionAt sim.Time
+	// Guard summarises the supervision layer (zero value when disabled).
+	Guard guard.Summary
+}
+
+// Finish records the run's tail once the scenario has drained: the
+// handling times and the first one outside (0, 1s], the landed faults,
+// and the summary of the run's guard (nil when unguarded).
+func (r *RunCore) Finish(sys *atms.ATMS, plan *chaos.Plan, g *guard.Guard) {
+	hs := sys.HandlingTimes()
+	r.Handlings = len(hs)
+	r.HandlingTimes = append([]time.Duration(nil), hs...)
+	for i, d := range hs {
+		if d <= 0 || d > time.Second {
+			r.HandlingViolation = fmt.Sprintf("handling %d took %v, want (0, 1s]", i, d)
+			break
+		}
+	}
+	inj := plan.Injections()
+	r.Injections = len(inj)
+	if len(inj) > 0 {
+		r.FirstInjectionAt = inj[0].At
+	}
+	r.Guard = g.Summary()
+}
+
+// JudgeRCH applies the RCHDroid absolutes both drivers share: no crash,
+// no invariant violation, a foreground activity at the end.
+func (r *RunCore) JudgeRCH(fail func(format string, args ...any)) {
+	if r.Crashed {
+		fail("%s crashed: %s", r.Name, r.CrashCause)
+	}
+	if r.Invariant != "" {
+		fail("%s invariant: %s", r.Name, r.Invariant)
+	}
+	if r.FinalMissing {
+		fail("%s: no foreground activity at end of scenario", r.Name)
+	}
+}
+
+// JudgeGuard applies the supervision clauses: a handling past the bound
+// is excused only when the watchdog actually fired, and every
+// degradation must be fault-attributed — a quarantine, breaker open or
+// failed self-check without a previously landed injection is a
+// supervision bug, not robustness. An unguarded run's zero summary
+// passes the attribution checks trivially.
+func (r *RunCore) JudgeGuard(fail func(format string, args ...any)) {
+	if r.HandlingViolation != "" && r.Guard.ANRs == 0 {
+		fail("%s: %s", r.Name, r.HandlingViolation)
+	}
+	// Injections counts landed faults; FirstInjectionAt alone cannot
+	// distinguish "none" from a fault on the very first tick.
+	if r.Guard.Quarantines > 0 {
+		if r.Injections == 0 {
+			fail("%s: quarantined with no injected fault", r.Name)
+		} else if r.Guard.FirstQuarantineAt < r.FirstInjectionAt {
+			fail("%s: first quarantine at %v precedes first injection at %v",
+				r.Name, r.Guard.FirstQuarantineAt, r.FirstInjectionAt)
+		}
+	}
+	if r.Guard.BreakerOpens > 0 && r.Injections == 0 {
+		fail("%s: breaker opened with no injected fault", r.Name)
+	}
+	if r.Guard.SelfCheckFailures > 0 && r.Injections == 0 {
+		fail("%s: self-check failed with no injected fault", r.Name)
+	}
+}
+
+// JudgeStock applies the stock-sanity clauses to a stock run that
+// survived: invariants and handling bounds hold, and a foreground
+// activity remains.
+func (r *RunCore) JudgeStock(fail func(format string, args ...any)) {
+	if r.Invariant != "" {
+		fail("%s invariant: %s", r.Name, r.Invariant)
+	}
+	if r.HandlingViolation != "" {
+		fail("%s: %s", r.Name, r.HandlingViolation)
+	}
+	if r.FinalMissing {
+		fail("%s: no foreground activity at end of scenario", r.Name)
+	}
+}
+
+// RunResult is one run of a scenario under one handler.
+type RunResult struct {
+	RunCore
 	// Expected is the state the script actually applied (ground truth
 	// recorded at application time); Actual is what the final foreground
 	// instance shows.
 	Expected ModelState
 	Actual   ModelState
-	// Applied counts script interactions that found a foreground target.
-	Applied int
 	// Started/Delivered/DroppedByPlan track each async task: whether it
 	// was started, how many times its result ran, and whether the chaos
 	// plan swallowed the result on purpose.
 	Started       []bool
 	Delivered     []int
 	DroppedByPlan []bool
-	// HandlingViolation is the first out-of-bounds change-handling time.
-	HandlingViolation string
-	Handlings         int
-	// HandlingTimes are the per-handling end-to-end sim-clock durations
-	// (config change at the ATMS → resume), in handling order. Sim-clock
-	// values are seed-deterministic, so aggregate consumers may fold
-	// them into canonical metric histograms.
-	HandlingTimes []time.Duration
-	Injections    int
-	// FirstInjectionAt is the virtual time of the first landed fault
-	// (zero when no fault landed).
-	FirstInjectionAt sim.Time
-	// Guard summarises the supervision layer (zero value when disabled).
-	Guard GuardSummary
 }
 
 // Verdict is the differential comparison for one seed.
@@ -141,9 +210,11 @@ func (v *Verdict) String() string {
 // which the chaos layer treats as droppable.
 func taskName(idx int) string { return fmt.Sprintf("task%d", idx) }
 
-// essenceOf renders an activity's stock-persisted state plus its
-// view-tree shape, deterministically.
-func essenceOf(a *app.Activity) string {
+// Essence renders an activity's stock-persisted state (the
+// onSaveInstanceState bundle) plus its view-tree shape, deterministically
+// — the cross-handler equality both the seeded oracle and the
+// schedule-space explorer judge with.
+func Essence(a *app.Activity) string {
 	counts := view.CountByType(a.Decor())
 	types := make([]string, 0, len(counts))
 	for t := range counts {
@@ -211,12 +282,13 @@ func oracleSpec(sc Scenario) device.Spec {
 // plan).
 func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Tracer, forker *device.TemplateCache) RunResult {
 	res := RunResult{
-		Name:          inst.Name,
+		RunCore:       RunCore{Name: inst.Name},
 		Started:       make([]bool, sc.Tasks),
 		Delivered:     make([]int, sc.Tasks),
 		DroppedByPlan: make([]bool, sc.Tasks),
 	}
 	var plan *chaos.Plan
+	var g *guard.Guard
 	arm := func(w *device.World) {
 		tracer.BindClock(w.Sched)
 		w.Sys.SetTracer(tracer)
@@ -225,7 +297,7 @@ func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Trac
 		plan.BindClock(w.Sched)
 		plan.SetTracer(tracer)
 		if inst.Install != nil {
-			inst.Install(w.Sys, w.Proc, plan)
+			g = inst.Install(w.Sys, w.Proc, plan)
 		}
 		plan.Install(w.Sys, w.Proc)
 	}
@@ -361,7 +433,7 @@ func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Trac
 			}
 		}
 		if fg := proc.Thread().ForegroundActivity(); fg != nil {
-			res.Essence = essenceOf(fg)
+			res.Essence = Essence(fg)
 			var err error
 			if res.Actual, err = readModel(fg); err != nil && res.Invariant == "" {
 				res.Invariant = fmt.Sprintf("final: %v", err)
@@ -373,36 +445,7 @@ func runOnce(inst Installer, sc Scenario, opts chaos.Options, tracer *trace.Trac
 	for i := range res.DroppedByPlan {
 		res.DroppedByPlan[i] = plan.AsyncDropped(taskName(i)) > 0
 	}
-	hs := sys.HandlingTimes()
-	res.Handlings = len(hs)
-	res.HandlingTimes = append([]time.Duration(nil), hs...)
-	for i, d := range hs {
-		if d <= 0 || d > time.Second {
-			res.HandlingViolation = fmt.Sprintf("handling %d took %v, want (0, 1s]", i, d)
-			break
-		}
-	}
-	inj := plan.Injections()
-	res.Injections = len(inj)
-	if len(inj) > 0 {
-		res.FirstInjectionAt = inj[0].At
-	}
-	if inst.Guard != nil {
-		if g := inst.Guard(); g.Enabled() {
-			res.Guard = GuardSummary{
-				Enabled:           true,
-				ANRs:              g.ANRs(),
-				Retries:           g.Retries(),
-				TransferFailures:  g.TransferFailures(),
-				Quarantines:       g.Quarantines(),
-				Recoveries:        g.Recoveries(),
-				BreakerOpens:      g.BreakerOpens(),
-				SelfCheckFailures: g.SelfCheckFailures(),
-				FirstQuarantineAt: g.FirstQuarantineAt(),
-				Modes:             g.Modes(),
-			}
-		}
-	}
+	res.Finish(sys, plan, g)
 	return res
 }
 
@@ -465,40 +508,11 @@ func (v *Verdict) judge() {
 	}
 
 	r := &v.RCH
-	quarantined := r.Guard.Enabled && r.Guard.Quarantines > 0
-	if r.Crashed {
-		fail("%s crashed: %s", r.Name, r.CrashCause)
-	}
-	if r.Invariant != "" {
-		fail("%s invariant: %s", r.Name, r.Invariant)
-	}
-	if r.FinalMissing {
-		fail("%s: no foreground activity at end of scenario", r.Name)
-	}
-	if !r.Crashed && !r.FinalMissing && r.Actual != r.Expected && !quarantined {
+	r.JudgeRCH(fail)
+	if !r.Crashed && !r.FinalMissing && r.Actual != r.Expected && r.Guard.Quarantines == 0 {
 		fail("%s lost user state: actual %+v, expected %+v", r.Name, r.Actual, r.Expected)
 	}
-	if r.HandlingViolation != "" && !(r.Guard.Enabled && r.Guard.ANRs > 0) {
-		fail("%s: %s", r.Name, r.HandlingViolation)
-	}
-	if r.Guard.Enabled {
-		// Injections counts landed faults; FirstInjectionAt alone cannot
-		// distinguish "none" from a fault on the very first tick.
-		if quarantined {
-			if r.Injections == 0 {
-				fail("%s: quarantined with no injected fault", r.Name)
-			} else if r.Guard.FirstQuarantineAt < r.FirstInjectionAt {
-				fail("%s: first quarantine at %v precedes first injection at %v",
-					r.Name, r.Guard.FirstQuarantineAt, r.FirstInjectionAt)
-			}
-		}
-		if r.Guard.BreakerOpens > 0 && r.Injections == 0 {
-			fail("%s: breaker opened with no injected fault", r.Name)
-		}
-		if r.Guard.SelfCheckFailures > 0 && r.Injections == 0 {
-			fail("%s: self-check failed with no injected fault", r.Name)
-		}
-	}
+	r.JudgeGuard(fail)
 	for i, started := range r.Started {
 		want := 0
 		if started && !r.DroppedByPlan[i] {
@@ -517,15 +531,7 @@ func (v *Verdict) judge() {
 		}
 	}
 	if !s.Crashed {
-		if s.Invariant != "" {
-			fail("%s invariant: %s", s.Name, s.Invariant)
-		}
-		if s.HandlingViolation != "" {
-			fail("%s: %s", s.Name, s.HandlingViolation)
-		}
-		if s.FinalMissing {
-			fail("%s: no foreground activity at end of scenario", s.Name)
-		}
+		s.JudgeStock(fail)
 		if !s.FinalMissing && !r.Crashed && !r.FinalMissing && s.Essence != r.Essence {
 			fail("essence diverged:\n    %s: %s\n    %s: %s", s.Name, s.Essence, r.Name, r.Essence)
 		}

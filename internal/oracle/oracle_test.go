@@ -13,6 +13,7 @@ import (
 	"rchdroid/internal/chaos"
 	"rchdroid/internal/config"
 	"rchdroid/internal/core"
+	"rchdroid/internal/guard"
 	"rchdroid/internal/oracle"
 	"rchdroid/internal/sweep"
 	"rchdroid/internal/view"
@@ -124,19 +125,26 @@ func (l lossyHandler) HandleRuntimeChange(t *app.ActivityThread, a *app.Activity
 	l.ChangeHandler.HandleRuntimeChange(t, a, newCfg)
 }
 
+// lossyInstaller wires genuine RCHDroid, then wraps its handler in
+// lossyHandler.
+func lossyInstaller() oracle.Installer {
+	return oracle.Installer{
+		Name: "RCHDroid-lossy",
+		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) *guard.Guard {
+			opts := core.DefaultOptions()
+			opts.Chaos = plan
+			rch := core.Install(sys, proc, opts)
+			proc.Thread().SetChangeHandler(lossyHandler{proc.Thread().Handler()})
+			return rch.Guard
+		},
+	}
+}
+
 // TestOracleHasTeeth verifies the oracle actually detects state loss:
 // the lossy mutant must fail on at least one seed where genuine RCHDroid
 // passes, and be flagged as losing user state or diverging in essence.
 func TestOracleHasTeeth(t *testing.T) {
-	lossy := oracle.Installer{
-		Name: "RCHDroid-lossy",
-		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) {
-			opts := core.DefaultOptions()
-			opts.Chaos = plan
-			core.Install(sys, proc, opts)
-			proc.Thread().SetChangeHandler(lossyHandler{proc.Thread().Handler()})
-		},
-	}
+	lossy := lossyInstaller()
 	for seed := uint64(1); seed <= 40; seed++ {
 		good := oracle.DifferentialWith(seed, rchInstaller(), chaos.Light(), nil)
 		bad := oracle.DifferentialWith(seed, lossy, chaos.Light(), nil)

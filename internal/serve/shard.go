@@ -9,6 +9,7 @@ import (
 	"rchdroid/internal/config"
 	"rchdroid/internal/core"
 	"rchdroid/internal/device"
+	"rchdroid/internal/guard"
 	"rchdroid/internal/monkey"
 	"rchdroid/internal/obs"
 	"rchdroid/internal/sweep"
@@ -28,13 +29,7 @@ type session struct {
 	rch *core.RCHDroid
 	// guardSeen is the last guard tally folded into the counters, so
 	// each drive contributes only its delta.
-	guardSeen guardCounts
-}
-
-// guardCounts is a point-in-time read of a session guard's degradation
-// tallies.
-type guardCounts struct {
-	quarantines, recoveries, breakerOpens int
+	guardSeen guard.Summary
 }
 
 // pending is one admitted request waiting in a shard queue.
@@ -349,22 +344,17 @@ func (s *shard) drive(req Request) Response {
 // canonical (sim-domain) dump must keep carrying only what canary
 // seeds record.
 func (s *shard) noteGuard(sess *session) {
-	if sess.rch == nil || sess.rch.Guard == nil {
+	if sess.rch == nil {
 		return
 	}
-	g := sess.rch.Guard
-	now := guardCounts{
-		quarantines:  g.Quarantines(),
-		recoveries:   g.Recoveries(),
-		breakerOpens: g.BreakerOpens(),
-	}
-	if d := now.quarantines - sess.guardSeen.quarantines; d > 0 {
+	now := sess.rch.Guard.Summary()
+	if d := now.Quarantines - sess.guardSeen.Quarantines; d > 0 {
 		s.counter("serve_guard_quarantines_total").Add(int64(d))
 	}
-	if d := now.recoveries - sess.guardSeen.recoveries; d > 0 {
+	if d := now.Recoveries - sess.guardSeen.Recoveries; d > 0 {
 		s.counter("serve_guard_recoveries_total").Add(int64(d))
 	}
-	if d := now.breakerOpens - sess.guardSeen.breakerOpens; d > 0 {
+	if d := now.BreakerOpens - sess.guardSeen.BreakerOpens; d > 0 {
 		s.counter("serve_guard_breaker_opens_total").Add(int64(d))
 	}
 	sess.guardSeen = now

@@ -37,34 +37,30 @@ func RCHInstaller() oracle.Installer { return RCHInstallerObs(nil) }
 func RCHInstallerObs(sh *obs.Shard) oracle.Installer {
 	return oracle.Installer{
 		Name: "RCHDroid",
-		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) {
+		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) *guard.Guard {
 			opts := core.DefaultOptions()
 			opts.Chaos = plan
 			opts.Obs = sh
-			core.Install(sys, proc, opts)
+			return core.Install(sys, proc, opts).Guard
 		},
 	}
 }
 
 // GuardedInstallerObs wires RCHDroid with the supervision layer armed,
 // with the worker's metric shard (nil disables observation) routed into
-// core and the guard's decision stream. The Guard getter reads back the
-// guard the most recent Install created, so the verdict carries the
-// supervision summary. Each call returns an independent installer —
-// workers must never share one.
+// core and the guard's decision stream. Install returns the guard it
+// armed, so the verdict carries the supervision summary.
 func GuardedInstallerObs(sh *obs.Shard) oracle.Installer {
-	var g *guard.Guard
 	return oracle.Installer{
 		Name: "RCHDroid-guarded",
-		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) {
+		Install: func(sys *atms.ATMS, proc *app.Process, plan *chaos.Plan) *guard.Guard {
 			opts := core.DefaultOptions()
 			opts.Chaos = plan
 			cfg := guard.DefaultConfig()
 			opts.Guard = &cfg
 			opts.Obs = sh
-			g = core.Install(sys, proc, opts).Guard
+			return core.Install(sys, proc, opts).Guard
 		},
-		Guard: func() *guard.Guard { return g },
 	}
 }
 

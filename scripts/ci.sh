@@ -7,57 +7,61 @@
 #   1. gofmt         — no unformatted files
 #   2. go vet        — static checks
 #   3. go build      — every package compiles
-#   4. go test -race — full suite, short mode, race detector on (this is
+#   4. perfbench     — the frozen benchmark module (its own go.mod) still
+#                      vets and passes its tests against this tree, so a
+#                      refactor that breaks it fails here, not at the
+#                      next benchmark run
+#   5. go test -race — full suite, short mode, race detector on (this is
 #                      also the tier-1 race pass over a parallel sweep:
 #                      internal/sweep's determinism tests run -workers=8
 #                      pools in short mode)
-#   5. trace guard   — 89.2 ms flip anchor with tracing disabled, and
+#   6. trace guard   — 89.2 ms flip anchor with tracing disabled, and
 #                      zero virtual-time drift with tracing enabled
-#   6. guard idle    — same anchor with the supervision guard armed but
+#   7. guard idle    — same anchor with the supervision guard armed but
 #                      idle: the watchdog must be tick-for-tick free
-#   7. oracle sweep  — 512-seed differential RCHDroid-vs-stock run on
+#   8. oracle sweep  — 512-seed differential RCHDroid-vs-stock run on
 #                      the parallel sweep engine (GOMAXPROCS workers)
 #                      with the metrics registry armed: the canonical
 #                      dump lands in ./artifacts/ and the run enforces
 #                      the seeds/sec floor (RCH_SEEDS_FLOOR, default
 #                      250 — ~10× headroom under the measured ~2–3k)
-#   8. fork gate     — internal/sweep TestForkOracleSweep512: the same
+#   9. fork gate     — internal/sweep TestForkOracleSweep512: the same
 #                      512 oracle seeds through the sweeps' only
 #                      construction path (every per-seed world forked
 #                      from one settled pre-chaos template) and through
 #                      the fresh-build reference (a nil template cache):
 #                      merged report, failure output AND canonical
 #                      metrics dump must be byte-identical
-#   9. determinism   — 64-seed sequential cross-check: -workers=1 and
+#  10. determinism   — 64-seed sequential cross-check: -workers=1 and
 #                      -workers=N merged reports AND canonical metric
 #                      dumps must be byte-identical
-#  10. guarded sweep — 1024-seed guarded-chaos run on the engine: zero
+#  11. guarded sweep — 1024-seed guarded-chaos run on the engine: zero
 #                      invariant violations, no quarantine/breaker
 #                      decision without a preceding injected fault, and
 #                      every activity either RCHDroid-equivalent or
 #                      exactly stock-equivalent (never a hybrid)
-#  11. explore gate  — exhaustive depth-2 schedule-space exploration of
+#  12. explore gate  — exhaustive depth-2 schedule-space exploration of
 #                      the data-loss corpus (cmd/rchexplore), metrics on
-#  12. counterfactual — guard-off runs must reproduce the raw failures
+#  13. counterfactual — guard-off runs must reproduce the raw failures
 #                      the guard recovers, and guarded verdicts replay
 #                      bit-identically
-#  13. profile smoke — a 32-seed sweep under -profile-cpu/-profile-heap
+#  14. profile smoke — a 32-seed sweep under -profile-cpu/-profile-heap
 #                      must produce non-empty pprof artifacts
-#  14. fleet stage   — the real rchserve binary: boot a small fleet over
+#  15. fleet stage   — the real rchserve binary: boot a small fleet over
 #                      TCP, storm one device with the panic-on-relaunch
 #                      spec (every panic contained + respawned, counters
 #                      exact, shards all serving), provoke a deadline
 #                      shed, then SIGTERM → clean drain (exit 0) with a
 #                      non-empty metrics flush (scripts/fleetprobe is
 #                      the wire client)
-#  15. replay stage  — trace-driven load: rchreplay generates a seeded
+#  16. replay stage  — trace-driven load: rchreplay generates a seeded
 #                      diurnal workload log and replays it through the
 #                      real rchserve binary over TCP at 200×, then the
 #                      SLO report must carry the production surface
 #                      (p50/p95/p99 per op class, machine-readable shed
 #                      map + rate, breaker/guard counters) and the
 #                      replay's canonical metrics dump must be non-empty
-#  16. bench         — scripts/bench.sh -quick (CI-sized scaling curve +
+#  17. bench         — scripts/bench.sh -quick (CI-sized scaling curve +
 #                      determinism byte-compare of reports and metrics;
 #                      written to ./artifacts/ so the committed 512-seed
 #                      BENCH_sweep.json and BENCH_replay.json stay
@@ -84,6 +88,10 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> perfbench vet + test (frozen benchmark module)"
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 echo "==> go test -race -short ./..."
 go test -race -short ./...
