@@ -9,9 +9,13 @@ import (
 	"rchdroid/internal/app"
 	"rchdroid/internal/benchapp"
 	"rchdroid/internal/bundle"
+	"rchdroid/internal/costmodel"
 	"rchdroid/internal/device"
 	"rchdroid/internal/experiments"
+	"rchdroid/internal/looper"
 	"rchdroid/internal/oracle"
+	"rchdroid/internal/resources"
+	"rchdroid/internal/sim"
 	"rchdroid/internal/view"
 )
 
@@ -34,6 +38,14 @@ func TestAllocBudget(t *testing.T) {
 	cache := device.NewTemplateCache()
 	rig := experiments.NewRig(benchapp.New(benchapp.Config{Images: 8, TaskDelay: time.Hour}), experiments.ModeRCHDroid)
 	var seed uint64
+	// The event-path rows post a pre-built body with a 1 µs cost, so a
+	// hundred runs stay inside one CPU-meter window.
+	sched := sim.NewScheduler()
+	ui := looper.New(sched, "gate:ui")
+	proc := app.NewProcess(sched, costmodel.Default(),
+		&app.App{Name: "gate", Resources: resources.NewTable(), Main: &app.ActivityClass{Name: "Main"}})
+	body := func() {}
+	charged := func() time.Duration { return time.Microsecond }
 
 	cases := []struct {
 		name    string
@@ -45,12 +57,12 @@ func TestAllocBudget(t *testing.T) {
 			root.SaveState(state)
 			root.RestoreState(state)
 		}},
-		{"Rig.Rotate", 124, func() {
+		{"Rig.Rotate", 83, func() {
 			if _, err := rig.Rotate(); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"device.New, oracle spec", 132, func() {
+		{"device.New, oracle spec", 112, func() {
 			seed++
 			device.New(oracleSpec, seed, nil)
 		}},
@@ -65,6 +77,20 @@ func TestAllocBudget(t *testing.T) {
 		{"TemplateCache.Fork warm, oracle spec", 54, func() {
 			seed++
 			cache.Fork("images:4", oracleSpec, seed, nil)
+		}},
+		// One message through the looper's event path: the queue holds
+		// messages by value and the pump event is re-armed in place.
+		{"Looper.Post + dispatch", 0, func() {
+			ui.Post("m", time.Microsecond, body)
+			sched.Run()
+		}},
+		{"Process.PostApp + dispatch", 0, func() {
+			proc.PostApp("m", time.Microsecond, body)
+			sched.Run()
+		}},
+		{"ActivityThread.RunCharged + dispatch", 0, func() {
+			proc.Thread().RunCharged("m", charged)
+			sched.Run()
 		}},
 	}
 	for _, c := range cases {

@@ -8,6 +8,8 @@ import (
 	"rchdroid/internal/bundle"
 	"rchdroid/internal/config"
 	"rchdroid/internal/costmodel"
+	"rchdroid/internal/ipc"
+	"rchdroid/internal/looper"
 	"rchdroid/internal/resources"
 	"rchdroid/internal/sim"
 	"rchdroid/internal/view"
@@ -241,6 +243,54 @@ func TestNonViewPanicsPropagate(t *testing.T) {
 	}()
 	proc.PostApp("bug", 0, func() { panic("framework bug") })
 	sched.Advance(time.Second)
+}
+
+func TestAppNullPointerCrashesAndSimKeepsRunning(t *testing.T) {
+	sched, proc, _, _ := launchOne(t, testApp("demo", 0))
+	other := looper.New(sched, "other")
+	npe := &view.NullPointerError{ViewID: 10, ViewType: "EditText", Op: "setText"}
+	proc.PostApp("bad", 0, func() { panic(npe) })
+	ran := false
+	other.Post("next", 0, func() { ran = true })
+	sched.Advance(time.Second)
+	if !proc.Crashed() || proc.CrashCause().Cause != npe {
+		t.Fatalf("crashed=%v cause=%v, want the NullPointerError", proc.Crashed(), proc.CrashCause())
+	}
+	if !ran {
+		t.Fatal("the next message did not run after the caught crash")
+	}
+}
+
+func TestChargedCrashChargesNothing(t *testing.T) {
+	sched, proc, _, act := launchOne(t, testApp("demo", 0))
+	busy := proc.UILooper().TotalBusy()
+	proc.Thread().RunCharged("bad", func() time.Duration {
+		panic(&view.WindowLeakedError{ViewID: act.Decor().ID()})
+	})
+	sched.Advance(time.Second)
+	if !proc.Crashed() {
+		t.Fatal("WindowLeakedError in a charged phase must crash the process")
+	}
+	if got := proc.UILooper().TotalBusy(); got != busy {
+		t.Fatalf("TotalBusy moved %v -> %v: a caught panic charges nothing", busy, got)
+	}
+}
+
+func TestBinderPanicIsNotAnAppCrash(t *testing.T) {
+	sched, proc, _, _ := launchOne(t, testApp("demo", 0))
+	bus := ipc.NewBus(time.Millisecond)
+	npe := &view.NullPointerError{ViewID: 10, ViewType: "EditText", Op: "setText"}
+	bus.Transact(proc.Endpoint(), "bad", 0, 0, func() { panic(npe) })
+	defer func() {
+		if r := recover(); r != npe {
+			t.Fatalf("recovered %v, want the binder body's panic to propagate", r)
+		}
+		if proc.Crashed() {
+			t.Fatal("a binder transaction panic must not be recorded as an app crash")
+		}
+	}()
+	sched.Advance(time.Second)
+	t.Fatal("binder transaction panic did not propagate")
 }
 
 func TestMemoryAccountingGrowsWithViews(t *testing.T) {

@@ -49,6 +49,7 @@ func ForkProcess(p *Process, sched *sim.Scheduler) (*Process, error) {
 		cpu:      p.cpu.Clone(),
 		logBusy:  p.logBusy,
 	}
+	np.catch = np.catchAppPanic
 	np.busyByName = make(map[string]time.Duration, len(p.busyByName))
 	for k, v := range p.busyByName {
 		np.busyByName[k] = v

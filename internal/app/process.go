@@ -79,6 +79,10 @@ type Process struct {
 
 	asyncFault AsyncFaultInjector
 
+	// catch is p.catchAppPanic, bound once so posting app code
+	// allocates no method value per message.
+	catch func(any)
+
 	tracer     *trace.Tracer
 	uiTrack    trace.TrackID
 	asyncTrack trace.TrackID
@@ -115,6 +119,7 @@ func NewProcess(sched *sim.Scheduler, model *costmodel.Model, app *App) *Process
 		mem:      metrics.NewMemoryMeter(sched, app.Name+":mem"),
 		cpu:      metrics.NewCPUMeter(10 * time.Millisecond),
 	}
+	p.catch = p.catchAppPanic
 	p.busyByName = make(map[string]time.Duration)
 	p.uiLooper.SetBusyObserver(func(start sim.Time, cost time.Duration, name string) {
 		p.cpu.OnBusy(start, cost, name)
@@ -255,21 +260,21 @@ func (p *Process) PostApp(name string, cost time.Duration, fn func()) {
 	if p.crashed {
 		return
 	}
-	p.uiLooper.Post(name, cost, func() {
-		defer func() {
-			if r := recover(); r != nil {
-				switch err := r.(type) {
-				case *view.NullPointerError:
-					p.Crash(err)
-				case *view.WindowLeakedError:
-					p.Crash(err)
-				default:
-					panic(r)
-				}
-			}
-		}()
-		fn()
-	})
+	p.uiLooper.PostMessage(looper.Message{Name: name, Cost: cost, Run: fn, Catch: p.catch})
+}
+
+// catchAppPanic is the Catch of every app message: an exception the app
+// could throw kills the process; anything else is a harness bug and
+// panics on.
+func (p *Process) catchAppPanic(r any) {
+	switch err := r.(type) {
+	case *view.NullPointerError:
+		p.Crash(err)
+	case *view.WindowLeakedError:
+		p.Crash(err)
+	default:
+		panic(r)
+	}
 }
 
 // StartAsyncTask runs a background task for owner. After d of background

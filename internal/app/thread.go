@@ -6,6 +6,7 @@ import (
 
 	"rchdroid/internal/bundle"
 	"rchdroid/internal/config"
+	"rchdroid/internal/looper"
 	"rchdroid/internal/trace"
 )
 
@@ -171,10 +172,11 @@ func (t *ActivityThread) SetCurrentSunny(a *Activity) { t.currentSunny = a }
 // fact lets costs depend on what the black-box app code actually did
 // (e.g. how many views OnCreate inflated).
 func (t *ActivityThread) RunCharged(name string, fn func() time.Duration) {
-	t.proc.PostApp(name, 0, func() {
-		cost := fn()
-		t.proc.uiLooper.Charge(cost)
-	})
+	p := t.proc
+	if p.crashed {
+		return
+	}
+	p.uiLooper.PostMessage(looper.Message{Name: name, Charged: fn, Catch: p.catch})
 }
 
 // ───────────────────────── transactions from the ATMS ──────────────────

@@ -58,8 +58,8 @@ func (b *Bus) BytesTransferred() int64 { return b.bytes }
 // Transact delivers a one-way transaction to the endpoint: after the hop
 // latency, fn runs on the endpoint's looper with the given execution cost.
 // payloadBytes sizes the parcel for accounting (pass 0 when irrelevant).
-// It returns the queued message's delivery event handle via the looper;
-// callers normally ignore it.
+// A panic escaping fn is not an app crash: it propagates out of the
+// scheduler, as a framework bug should.
 func (b *Bus) Transact(to *Endpoint, name string, payloadBytes int64, handleCost time.Duration, fn func()) {
 	b.count++
 	b.bytes += payloadBytes

@@ -88,21 +88,22 @@ func TestInjectedDelayAddsToTimerDelay(t *testing.T) {
 	}
 }
 
-func TestInjectedDropNeverRunsAndReportsCancelled(t *testing.T) {
+func TestInjectedDropNeverRunsAndReportsNotQueued(t *testing.T) {
 	s, l := newTestLooper()
 	l.SetFaultInjector(func(name string, cost time.Duration) Fault {
 		return Fault{Drop: name == "doomed"}
 	})
 	ran := false
 	survived := false
-	m := l.Post("doomed", time.Millisecond, func() { ran = true })
-	l.Post("other", time.Millisecond, func() { survived = true })
+	if l.Post("doomed", time.Millisecond, func() { ran = true }) {
+		t.Fatal("dropped message reported queued to the poster")
+	}
+	if !l.Post("other", time.Millisecond, func() { survived = true }) {
+		t.Fatal("undropped message reported not queued")
+	}
 	s.Run()
 	if ran {
 		t.Fatal("dropped message ran")
-	}
-	if !m.Cancelled() {
-		t.Fatal("dropped message not reported as cancelled to the poster")
 	}
 	if !survived {
 		t.Fatal("drop of one message lost another")

@@ -20,9 +20,9 @@ func (l *Looper) Fork(sched *sim.Scheduler) (*Looper, error) {
 	switch {
 	case len(l.queue) > 0:
 		return nil, fmt.Errorf("looper %s: fork with %d queued messages", l.name, len(l.queue))
-	case l.current != nil:
-		return nil, fmt.Errorf("looper %s: fork mid-dispatch of %q", l.name, l.current.Name)
-	case l.pump != nil && l.pump.Pending():
+	case l.running:
+		return nil, fmt.Errorf("looper %s: fork mid-dispatch of %q", l.name, l.curName)
+	case l.pump.Pending():
 		return nil, fmt.Errorf("looper %s: fork with pump scheduled", l.name)
 	case l.quit:
 		return nil, fmt.Errorf("looper %s: fork after quit", l.name)
@@ -36,8 +36,7 @@ func (l *Looper) Fork(sched *sim.Scheduler) (*Looper, error) {
 		busyUntil: l.busyUntil,
 		totalBusy: l.totalBusy,
 		processed: l.processed,
-		pumpName:  l.pumpName,
 	}
-	out.pumpFn = out.dispatch
+	out.pump = sim.NewEvent(l.pump.Name, out.dispatch)
 	return out, nil
 }

@@ -19,27 +19,29 @@ import (
 	"rchdroid/internal/trace"
 )
 
-// Message is one unit of work queued on a looper.
+// Message is one unit of work queued on a looper. The queue holds
+// messages by value, so posting one allocates nothing of its own.
 type Message struct {
 	// Name labels the message in traces.
 	Name string
-	// When is the earliest virtual time the message may run.
+	// When is the earliest virtual time the message may run. The looper
+	// sets it when the message is posted.
 	When sim.Time
 	// Cost is how long the message occupies the thread.
 	Cost time.Duration
 	// Run is the message body.
 	Run func()
+	// Charged, if set, is the body of a message whose cost is only known
+	// after it ran: the looper runs it in place of Run and charges the
+	// duration it returns to the message.
+	Charged func() time.Duration
+	// Catch, if set, receives any panic escaping the body, and the
+	// message then ends normally having charged nothing after the fact.
+	// Without Catch a panic propagates out of the scheduler's Step.
+	Catch func(any)
 
-	seq       uint64
-	cancelled bool
+	seq uint64
 }
-
-// Cancel prevents a queued message from running. Cancelling a message that
-// already ran is a no-op.
-func (m *Message) Cancel() { m.cancelled = true }
-
-// Cancelled reports whether Cancel was called.
-func (m *Message) Cancelled() bool { return m.cancelled }
 
 // Fault is a per-message fault decision returned by a FaultInjector.
 // The zero value means "deliver normally".
@@ -54,8 +56,8 @@ type Fault struct {
 	// events) — delaying one phase of a lifecycle chain reorders the
 	// chain.
 	Delay time.Duration
-	// Drop swallows the message: it is returned to the poster as an
-	// already-cancelled message and never runs.
+	// Drop swallows the message: it never runs, and the post reports
+	// false to the poster.
 	Drop bool
 }
 
@@ -79,20 +81,22 @@ func (l *Looper) SetDispatchObserver(fn func(name string, start sim.Time, occupa
 type Looper struct {
 	name      string
 	sched     *sim.Scheduler
-	queue     []*Message
+	queue     []Message
 	seq       uint64
 	busyUntil sim.Time
 	totalBusy time.Duration
 	processed uint64
 	quit      bool
-	pump      *sim.Event
-	current   *Message
 	fault     FaultInjector
 
-	// pumpName and pumpFn are the wakeup event's name and body, built
-	// once so re-arming the pump allocates nothing but the event.
-	pumpName string
-	pumpFn   func()
+	// pump is the looper's one wakeup event, re-armed in place for the
+	// head of the queue so dispatching allocates nothing.
+	pump sim.Event
+
+	// running is set while a message body runs; curName is that
+	// message's name, which Charge attributes to.
+	running bool
+	curName string
 
 	// onDispatch, if set, observes every completed dispatch with its
 	// total occupancy (cost plus charges plus stalls). The guard's
@@ -111,8 +115,8 @@ type Looper struct {
 
 // New returns a looper named name driving its messages on sched.
 func New(sched *sim.Scheduler, name string) *Looper {
-	l := &Looper{name: name, sched: sched, pumpName: name + ":pump"}
-	l.pumpFn = l.dispatch
+	l := &Looper{name: name, sched: sched}
+	l.pump = sim.NewEvent(name+":pump", l.dispatch)
 	return l
 }
 
@@ -152,55 +156,60 @@ func (l *Looper) QueueLen() int { return len(l.queue) }
 func (l *Looper) Quit() {
 	l.quit = true
 	l.queue = nil
-	if l.pump != nil {
-		l.sched.Cancel(l.pump)
-		l.pump = nil
-	}
+	l.sched.Cancel(&l.pump)
 }
 
 // Quitted reports whether Quit was called.
 func (l *Looper) Quitted() bool { return l.quit }
 
-// Post enqueues a message to run as soon as the thread is free.
-func (l *Looper) Post(name string, cost time.Duration, fn func()) *Message {
-	return l.PostDelayed(0, name, cost, fn)
+// Post enqueues a message to run as soon as the thread is free. It
+// reports whether the message was queued: false after Quit, mirroring
+// Handler.post returning false after Looper.quit, and false when the
+// fault injector dropped it.
+func (l *Looper) Post(name string, cost time.Duration, fn func()) bool {
+	return l.post(0, Message{Name: name, Cost: cost, Run: fn})
 }
 
-// PostDelayed enqueues a message that becomes runnable after delay.
-// Posting to a quit looper returns nil, mirroring Handler.post returning
-// false after Looper.quit.
-func (l *Looper) PostDelayed(delay time.Duration, name string, cost time.Duration, fn func()) *Message {
+// PostDelayed enqueues a message that becomes runnable after delay. It
+// reports whether the message was queued, as Post does.
+func (l *Looper) PostDelayed(delay time.Duration, name string, cost time.Duration, fn func()) bool {
+	return l.post(delay, Message{Name: name, Cost: cost, Run: fn})
+}
+
+// PostMessage enqueues m, with its Charged and Catch hooks, to run as
+// soon as the thread is free. It reports whether m was queued, as Post
+// does.
+func (l *Looper) PostMessage(m Message) bool {
+	return l.post(0, m)
+}
+
+func (l *Looper) post(delay time.Duration, m Message) bool {
 	if l.quit {
-		return nil
+		return false
 	}
 	if delay < 0 {
 		delay = 0
 	}
 	if l.fault != nil {
-		f := l.fault(name, cost)
+		f := l.fault(m.Name, m.Cost)
 		if f.Drop {
-			l.tracer.Instant(l.track, name, "looper", trace.Arg{Key: "dropped", Val: true})
-			return &Message{Name: name, Cost: cost, Run: fn, cancelled: true}
+			l.tracer.Instant(l.track, m.Name, "looper", trace.Arg{Key: "dropped", Val: true})
+			return false
 		}
 		if f.Delay > 0 {
-			l.tracer.Instant(l.track, name, "looper", trace.Arg{Key: "delayed", Val: f.Delay})
+			l.tracer.Instant(l.track, m.Name, "looper", trace.Arg{Key: "delayed", Val: f.Delay})
 			delay += f.Delay
 		}
 		if f.Stall > 0 {
 			l.Stall(f.Stall)
 		}
 	}
-	m := &Message{
-		Name: name,
-		When: l.sched.Now().Add(delay),
-		Cost: cost,
-		Run:  fn,
-		seq:  l.seq,
-	}
+	m.When = l.sched.Now().Add(delay)
+	m.seq = l.seq
 	l.seq++
 	l.insert(m)
 	l.schedulePump()
-	return m
+	return true
 }
 
 // Stall occupies the thread for d without doing work: queued messages keep
@@ -221,16 +230,16 @@ func (l *Looper) Stall(d time.Duration) {
 }
 
 // insert keeps the queue ordered by (When, seq).
-func (l *Looper) insert(m *Message) {
+func (l *Looper) insert(m Message) {
 	i := len(l.queue)
 	for i > 0 {
-		p := l.queue[i-1]
+		p := &l.queue[i-1]
 		if p.When < m.When || (p.When == m.When && p.seq < m.seq) {
 			break
 		}
 		i--
 	}
-	l.queue = append(l.queue, nil)
+	l.queue = append(l.queue, Message{})
 	copy(l.queue[i+1:], l.queue[i:])
 	l.queue[i] = m
 }
@@ -244,19 +253,15 @@ func (l *Looper) schedulePump() {
 	if l.busyUntil > at {
 		at = l.busyUntil
 	}
-	if l.pump != nil && l.pump.Pending() {
-		if l.pump.At <= at {
-			return // existing pump fires at or before the needed time
-		}
-		l.sched.Cancel(l.pump)
+	if l.pump.Pending() && l.pump.At <= at {
+		return // the pump already fires at or before the needed time
 	}
-	l.pump = l.sched.At(at, l.pumpName, l.pumpFn)
+	l.sched.Rearm(&l.pump, at)
 }
 
 // dispatch runs the first eligible message at the current instant and
 // re-arms the pump.
 func (l *Looper) dispatch() {
-	l.pump = nil
 	if l.quit {
 		return
 	}
@@ -265,20 +270,14 @@ func (l *Looper) dispatch() {
 		l.schedulePump()
 		return
 	}
-	// Pop the first non-cancelled eligible message, shifting the queue
-	// in place so insert reuses its backing array.
-	for len(l.queue) > 0 {
+	// Pop the head if it is eligible, shifting the queue in place so
+	// insert reuses its backing array.
+	if len(l.queue) > 0 && l.queue[0].When <= now {
 		m := l.queue[0]
-		if m.When > now {
-			break
-		}
 		last := len(l.queue) - 1
 		copy(l.queue, l.queue[1:])
-		l.queue[last] = nil
+		l.queue[last] = Message{}
 		l.queue = l.queue[:last]
-		if m.cancelled {
-			continue
-		}
 		l.busyUntil = now.Add(m.Cost)
 		l.totalBusy += m.Cost
 		l.processed++
@@ -296,17 +295,34 @@ func (l *Looper) dispatch() {
 				l.tracer.Instant(l.track, m.Name, "looper")
 			}
 		}
-		l.current = m
-		m.Run()
-		l.current = nil
+		l.running, l.curName = true, m.Name
+		l.run(m)
+		l.running = false
 		if l.onDispatch != nil {
 			// Occupancy measured after Run so it includes every Charge
 			// and injected stall folded into the message.
 			l.onDispatch(m.Name, now, l.busyUntil.Sub(now))
 		}
-		break
 	}
 	l.schedulePump()
+}
+
+// run executes m's body, charging what a Charged body reports. Only a
+// message carrying Catch pays for a deferred recover: it hands a panic
+// to Catch and charges nothing; any other panic propagates.
+func (l *Looper) run(m Message) {
+	if m.Catch != nil {
+		defer func() {
+			if r := recover(); r != nil {
+				m.Catch(r)
+			}
+		}()
+	}
+	if m.Charged != nil {
+		l.Charge(m.Charged())
+		return
+	}
+	m.Run()
 }
 
 // BusyUntil returns the virtual time the thread becomes free again.
@@ -320,8 +336,8 @@ func (l *Looper) BusyUntil() sim.Time { return l.busyUntil }
 // starting now.
 func (l *Looper) Charge(cost time.Duration) {
 	name := "charge"
-	if l.current != nil {
-		name = l.current.Name
+	if l.running {
+		name = l.curName
 	}
 	l.ChargeNamed(cost, name)
 }
@@ -364,12 +380,14 @@ func NewHandler(l *Looper, tag string) *Handler {
 // Looper returns the underlying looper.
 func (h *Handler) Looper() *Looper { return h.looper }
 
-// Post enqueues fn with the given cost.
-func (h *Handler) Post(name string, cost time.Duration, fn func()) *Message {
+// Post enqueues fn with the given cost and reports whether it was
+// queued.
+func (h *Handler) Post(name string, cost time.Duration, fn func()) bool {
 	return h.looper.Post(h.tag+":"+name, cost, fn)
 }
 
-// PostDelayed enqueues fn to become runnable after delay.
-func (h *Handler) PostDelayed(delay time.Duration, name string, cost time.Duration, fn func()) *Message {
+// PostDelayed enqueues fn to become runnable after delay and reports
+// whether it was queued.
+func (h *Handler) PostDelayed(delay time.Duration, name string, cost time.Duration, fn func()) bool {
 	return h.looper.PostDelayed(delay, h.tag+":"+name, cost, fn)
 }

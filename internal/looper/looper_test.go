@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rchdroid/internal/sim"
+	"rchdroid/internal/view"
 )
 
 func newTestLooper() (*sim.Scheduler, *Looper) {
@@ -80,25 +81,6 @@ func TestSameTimeIsFIFO(t *testing.T) {
 	}
 }
 
-func TestCancelledMessageSkipped(t *testing.T) {
-	s, l := newTestLooper()
-	ran := false
-	m := l.Post("m", time.Millisecond, func() { ran = true })
-	m.Cancel()
-	after := false
-	l.Post("after", time.Millisecond, func() { after = true })
-	s.Run()
-	if ran {
-		t.Fatal("cancelled message ran")
-	}
-	if !after {
-		t.Fatal("subsequent message did not run")
-	}
-	if !m.Cancelled() {
-		t.Fatal("Cancelled() = false")
-	}
-}
-
 func TestNestedPostRunsAfterCurrent(t *testing.T) {
 	s, l := newTestLooper()
 	var order []string
@@ -122,12 +104,18 @@ func TestQuitDropsQueueAndRejectsPosts(t *testing.T) {
 	ran := false
 	l.Post("m", time.Millisecond, func() { ran = true })
 	l.Quit()
-	if m := l.Post("rejected", 0, func() {}); m != nil {
-		t.Fatal("post after quit returned a message")
+	if l.Post("rejected", 0, func() {}) {
+		t.Fatal("post after quit reported queued")
+	}
+	if NewHandler(l, "h").PostDelayed(time.Millisecond, "rejected", 0, func() {}) {
+		t.Fatal("handler post after quit reported queued")
 	}
 	s.Run()
 	if ran {
 		t.Fatal("message ran after quit")
+	}
+	if l.Processed() != 0 {
+		t.Fatalf("Processed = %d after quit, want 0", l.Processed())
 	}
 	if !l.Quitted() {
 		t.Fatal("Quitted = false")
@@ -300,5 +288,110 @@ func TestChargeIgnoredWhenQuitOrNonPositive(t *testing.T) {
 	l.Charge(time.Second)
 	if l.TotalBusy() != 0 {
 		t.Fatal("charge after quit recorded")
+	}
+}
+
+func TestChargedBodyChargesWhatItReturns(t *testing.T) {
+	s, l := newTestLooper()
+	var names []string
+	l.SetBusyObserver(func(_ sim.Time, _ time.Duration, n string) { names = append(names, n) })
+	var second sim.Time
+	l.PostMessage(Message{Name: "phase", Charged: func() time.Duration { return 6 * time.Millisecond }})
+	l.Post("second", 0, func() { second = s.Now() })
+	s.Run()
+	if second != sim.Time(6*time.Millisecond) {
+		t.Fatalf("second ran at %v, want 6ms (after the charged body)", second)
+	}
+	if l.TotalBusy() != 6*time.Millisecond {
+		t.Fatalf("TotalBusy = %v, want 6ms", l.TotalBusy())
+	}
+	if len(names) != 3 || names[1] != "phase" {
+		t.Fatalf("busy observer saw %v, want the charge under the message name", names)
+	}
+}
+
+func TestCatchReceivesPanicAndNextMessageRuns(t *testing.T) {
+	s, l := newTestLooper()
+	npe := &view.NullPointerError{ViewID: 7, ViewType: "ImageView", Op: "setImage"}
+	var caught any
+	l.PostMessage(Message{Name: "app", Run: func() { panic(npe) }, Catch: func(r any) { caught = r }})
+	next := false
+	l.Post("next", 0, func() { next = true })
+	s.Run()
+	if caught != npe {
+		t.Fatalf("Catch got %v, want the NullPointerError", caught)
+	}
+	if !next {
+		t.Fatal("message after a caught panic did not run")
+	}
+	if l.Processed() != 2 {
+		t.Fatalf("Processed = %d, want 2", l.Processed())
+	}
+	// A caught panic ends the dispatch normally: the looper is not left
+	// mid-dispatch, so it can still be forked.
+	if _, err := l.Fork(sim.NewScheduler()); err != nil {
+		t.Fatalf("fork after a caught panic: %v", err)
+	}
+}
+
+func TestPanicWithoutCatchPropagates(t *testing.T) {
+	s, l := newTestLooper()
+	npe := &view.NullPointerError{ViewID: 7, ViewType: "ImageView", Op: "setImage"}
+	l.Post("binder", 0, func() { panic(npe) })
+	defer func() {
+		if r := recover(); r != npe {
+			t.Fatalf("Step recovered %v, want the NullPointerError to propagate", r)
+		}
+	}()
+	s.Step()
+	t.Fatal("panic without Catch did not propagate out of Step")
+}
+
+func TestCaughtPanicInChargedBodyChargesNothing(t *testing.T) {
+	s, l := newTestLooper()
+	l.PostMessage(Message{
+		Name:    "phase",
+		Charged: func() time.Duration { panic(&view.NullPointerError{Op: "x"}) },
+		Catch:   func(any) {},
+	})
+	var next sim.Time
+	l.Post("next", 0, func() { next = s.Now() })
+	s.Run()
+	if l.TotalBusy() != 0 {
+		t.Fatalf("TotalBusy = %v, want 0 (a caught panic charges nothing)", l.TotalBusy())
+	}
+	if next != 0 {
+		t.Fatalf("next ran at %v, want 0", next)
+	}
+}
+
+func TestForkedPumpIsIndependent(t *testing.T) {
+	s, l := newTestLooper()
+	l.Post("warm", time.Millisecond, func() {})
+	s.Run()
+	s2, err := s.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := l.Fork(s2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parent, child []string
+	l.PostDelayed(5*time.Millisecond, "p", 0, func() { parent = append(parent, "p") })
+	f.PostDelayed(2*time.Millisecond, "c", 0, func() { child = append(child, "c") })
+	if s.Pending() != 1 || s2.Pending() != 1 {
+		t.Fatalf("pending = %d/%d, want one pump per scheduler", s.Pending(), s2.Pending())
+	}
+	s2.Run()
+	if len(child) != 1 || len(parent) != 0 {
+		t.Fatalf("running the fork's scheduler ran parent=%v child=%v", parent, child)
+	}
+	l.Quit()
+	f.Post("c2", 0, func() { child = append(child, "c2") })
+	s2.Run()
+	s.Run()
+	if len(child) != 2 || len(parent) != 0 {
+		t.Fatalf("after parent quit: parent=%v child=%v", parent, child)
 	}
 }

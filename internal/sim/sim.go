@@ -37,8 +37,10 @@ func (t Time) Sub(earlier Time) time.Duration { return time.Duration(t - earlier
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback. Events are single-shot; rescheduling
-// allocates a new Event. An Event can be cancelled until it has fired.
+// Event is a scheduled callback. An Event from At, After or Post fires
+// once and can be cancelled until it has fired. An owner that re-arms the
+// same wakeup over and over (a looper's pump) keeps one Event built by
+// NewEvent and re-queues it with Rearm, which allocates nothing.
 type Event struct {
 	// At is the virtual time the event fires.
 	At Time
@@ -56,6 +58,12 @@ func (e *Event) Cancelled() bool { return e.cancelled }
 
 // Pending reports whether the event is still queued.
 func (e *Event) Pending() bool { return e.index >= 0 }
+
+// NewEvent returns an unqueued event named name that runs fn when it
+// fires. Queue it with Rearm.
+func NewEvent(name string, fn func()) Event {
+	return Event{Name: name, fn: fn, index: -1}
+}
 
 type eventHeap []*Event
 
@@ -119,12 +127,8 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 // error because it would reorder causality; it panics, as that is always a
 // harness bug rather than a runtime condition.
 func (s *Scheduler) At(t Time, name string, fn func()) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", name, t, s.now))
-	}
-	e := &Event{At: t, Name: name, fn: fn, seq: s.seq}
-	s.seq++
-	heap.Push(&s.events, e)
+	e := &Event{Name: name, fn: fn, index: -1}
+	s.Rearm(e, t)
 	return e
 }
 
@@ -151,6 +155,25 @@ func (s *Scheduler) Cancel(e *Event) {
 	}
 	heap.Remove(&s.events, e.index)
 	e.cancelled = true
+}
+
+// Rearm queues e to fire at t, moving it if it is already pending. It
+// takes the next sequence number, exactly as Cancel followed by At would,
+// so the (At, seq) order of every event is the same either way. Arming in
+// the past panics, as At does.
+func (s *Scheduler) Rearm(e *Event, t Time) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", e.Name, t, s.now))
+	}
+	e.At = t
+	e.seq = s.seq
+	s.seq++
+	e.cancelled = false
+	if e.index >= 0 {
+		heap.Fix(&s.events, e.index)
+		return
+	}
+	heap.Push(&s.events, e)
 }
 
 // Step fires the earliest pending event, advancing the clock to its

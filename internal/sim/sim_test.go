@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -254,4 +256,125 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	NewRNG(1).Intn(0)
+}
+
+// twin drives one scheduler whose wakeup is re-armed in place with
+// Rearm, or one whose wakeup is re-created with Cancel then At, the way
+// callers re-armed before Rearm existed. Both record what fired.
+type twin struct {
+	s     *Scheduler
+	fired []string
+	arm   func(t Time)
+}
+
+func newTwin(rearm bool) *twin {
+	tw := &twin{s: NewScheduler()}
+	wake := func() { tw.fired = append(tw.fired, "wake@"+tw.s.Now().String()) }
+	if rearm {
+		e := NewEvent("wake", wake)
+		tw.arm = func(t Time) { tw.s.Rearm(&e, t) }
+	} else {
+		var e *Event
+		tw.arm = func(t Time) {
+			tw.s.Cancel(e)
+			e = tw.s.At(t, "wake", wake)
+		}
+	}
+	return tw
+}
+
+func (tw *twin) post(t Time, name string) {
+	tw.s.At(t, name, func() { tw.fired = append(tw.fired, name) })
+}
+
+// TestRearmOrdersLikeCancelAndAt runs one script on a Rearm scheduler and
+// on a Cancel+At twin: equal timestamps, re-arming a pending wakeup
+// earlier and later, and re-arming after it fired must all fire in the
+// same order, and leave both schedulers on the same sequence number.
+func TestRearmOrdersLikeCancelAndAt(t *testing.T) {
+	ms := func(n int) Time { return Time(time.Duration(n) * time.Millisecond) }
+	script := func(tw *twin) {
+		tw.post(ms(5), "a5")
+		tw.arm(ms(5)) // equal timestamp: after a5
+		tw.post(ms(5), "b5")
+		tw.arm(ms(8)) // pending, later
+		tw.arm(ms(3)) // pending, earlier
+		tw.post(ms(3), "c3")
+		tw.arm(ms(3)) // pending, same time: moves behind c3
+		tw.s.RunUntil(ms(4))
+		tw.arm(ms(4)) // after it fired, at now
+		tw.post(ms(4), "d4")
+		tw.s.RunUntil(ms(5))
+		tw.arm(ms(10)) // after it fired, in the future
+		tw.post(ms(10), "e10")
+		tw.arm(ms(10)) // pending, same time again: moves behind e10
+		tw.s.Run()
+	}
+	a, b := newTwin(true), newTwin(false)
+	script(a)
+	script(b)
+	want := []string{"c3", "wake@3ms", "wake@4ms", "d4", "a5", "b5", "e10", "wake@10ms"}
+	if strings.Join(b.fired, " ") != strings.Join(want, " ") {
+		t.Fatalf("Cancel+At fired %v, want %v", b.fired, want)
+	}
+	if strings.Join(a.fired, " ") != strings.Join(b.fired, " ") {
+		t.Fatalf("Rearm fired %v, Cancel+At fired %v", a.fired, b.fired)
+	}
+	if a.s.seq != b.s.seq || a.s.Fired() != b.s.Fired() {
+		t.Fatalf("seq/fired %d/%d vs %d/%d", a.s.seq, a.s.Fired(), b.s.seq, b.s.Fired())
+	}
+}
+
+// Property: any random interleaving of posts, re-arms and steps fires in
+// the same order on the Rearm scheduler and its Cancel+At twin.
+func TestRearmOrderProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := NewRNG(seed)
+		a, b := newTwin(true), newTwin(false)
+		for i := 0; i < 64; i++ {
+			op, d := r.Intn(3), Time(r.Intn(4))
+			for _, tw := range []*twin{a, b} {
+				switch op {
+				case 0:
+					tw.post(tw.s.Now()+d, "p"+strconv.Itoa(i))
+				case 1:
+					tw.arm(tw.s.Now() + d)
+				default:
+					tw.s.Step()
+				}
+			}
+		}
+		a.s.Run()
+		b.s.Run()
+		return strings.Join(a.fired, " ") == strings.Join(b.fired, " ")
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRearmInPastPanics(t *testing.T) {
+	s := NewScheduler()
+	s.After(time.Millisecond, "tick", func() {})
+	s.Run()
+	e := NewEvent("late", func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("re-arming in the past did not panic")
+		}
+	}()
+	s.Rearm(&e, 0)
+}
+
+func TestNewEventIsNotPending(t *testing.T) {
+	e := NewEvent("idle", func() {})
+	if e.Pending() {
+		t.Fatal("unqueued event reports pending")
+	}
+	s := NewScheduler()
+	s.Cancel(&e) // cancelling an unqueued event is a no-op
+	s.Rearm(&e, 0)
+	if !e.Pending() || s.Pending() != 1 {
+		t.Fatal("re-armed event not queued")
+	}
 }

@@ -276,17 +276,20 @@ func CountByType(v View) map[string]int {
 	return m
 }
 
-// FindByID returns the first view in the tree with the given id, or nil.
+// FindByID returns the first view in the tree with the given id, in
+// depth-first pre-order, or nil.
 func FindByID(root View, id ID) View {
-	var found View
-	Walk(root, func(x View) bool {
-		if x.ID() == id {
-			found = x
-			return false
+	if root.ID() == id {
+		return root
+	}
+	if g, ok := root.(Container); ok {
+		for _, c := range g.Children() {
+			if found := FindByID(c, id); found != nil {
+				return found
+			}
 		}
-		return true
-	})
-	return found
+	}
+	return nil
 }
 
 // DirtyViews returns the views currently marked dirty, in tree order.
