@@ -57,7 +57,7 @@ func TestAllocBudget(t *testing.T) {
 			root.SaveState(state)
 			root.RestoreState(state)
 		}},
-		{"Rig.Rotate", 83, func() {
+		{"Rig.Rotate", 70, func() {
 			if _, err := rig.Rotate(); err != nil {
 				t.Fatal(err)
 			}

@@ -219,10 +219,10 @@ func main() {
 	}
 
 	if rch != nil {
+		sum := rch.Summary()
 		fmt.Printf("\nRCHDroid stats: %d init launches, %d coin flips, %d migrations (%d views), %d stock-routed, %d zombies reaped (%d pending)\n",
-			rch.Handler.InitLaunches(), rch.Handler.Flips(),
-			rch.Migrator.Migrations(), rch.Migrator.ViewsMigrated(),
-			rch.Handler.StockRouted(), rch.Handler.ZombiesReaped(), rch.Handler.Zombies())
+			sum.InitLaunches, sum.Flips, len(sum.MigrationTimes), sum.ViewsMigrated,
+			sum.StockRouted, sum.ZombiesReaped, rch.Handler.Zombies())
 		reportGuard(rch.Guard)
 	}
 	reportChaos(plan)

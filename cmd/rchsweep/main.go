@@ -14,14 +14,11 @@
 //	rchsweep -mode=oracle -seeds=64 -crosscheck # byte-compare workers=1 vs workers=N
 //	rchsweep -mode=oracle -seeds=512 -progress=1s -metrics-out=artifacts/metrics.json
 //	rchsweep -mode=oracle -seeds=512 -min-seeds-per-sec=250 -profile-cpu=artifacts/cpu.pprof
-//	rchsweep -bench -mode=oracle,guard,boot:20000 -seeds=256 -bench-workers=1,2,4,8,0 -bench-out BENCH_sweep.json
 //
 // The oracle, guard and boot modes build every per-seed world through
 // device.Template.Fork: the pre-chaos world is built, launched, and
 // settled once, then stamped out per seed, with the merged report and
-// canonical metrics dump byte-identical to fresh builds. With -bench, a
-// "mode:seeds" entry overrides -seeds for that mode, which the boot
-// mode needs (each of its seeds is microseconds).
+// canonical metrics dump byte-identical to fresh builds.
 package main
 
 import (
@@ -31,8 +28,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"rchdroid/internal/chaos"
@@ -68,7 +63,7 @@ type jsonResult struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rchsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	mode := fs.String("mode", "oracle", "sweep mode: oracle | guard | monkey | boot (-bench accepts a comma list; a mode:seeds entry overrides -seeds for that mode)")
+	mode := fs.String("mode", "oracle", "sweep mode: oracle | guard | monkey | boot")
 	seeds := fs.Int("seeds", 64, "number of consecutive seeds to run")
 	start := fs.Uint64("start", 1, "first seed (inclusive)")
 	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
@@ -77,24 +72,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	crosscheck := fs.Bool("crosscheck", false, "run the range at -workers=1 and -workers=N and require byte-identical reports and canonical metric dumps")
 	shared := cliflags.Register(fs, "rchsweep")
 	minRate := fs.Float64("min-seeds-per-sec", 0, "fail (exit 1) if sweep throughput drops below this floor (0 = no floor)")
-	bench := fs.Bool("bench", false, "measure the worker scaling curve instead of sweeping")
-	benchWorkers := fs.String("bench-workers", "1,0", "with -bench: comma list of worker counts to measure (0 = GOMAXPROCS)")
-	benchOut := fs.String("bench-out", "", "with -bench: write the JSON artifact here instead of stdout")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *seeds < 0 {
 		fmt.Fprintln(stderr, "rchsweep: -seeds must be non-negative")
 		return 2
-	}
-
-	if *bench {
-		counts, err := parseWorkerList(*benchWorkers)
-		if err != nil {
-			fmt.Fprintf(stderr, "rchsweep: -bench-workers: %v\n", err)
-			return 2
-		}
-		return runBench(*mode, *seeds, counts, *benchOut, stdout, stderr)
 	}
 
 	fn, replay, err := sweep.ForMode(*mode)
@@ -202,27 +185,6 @@ func seedsPerSec(rep *sweep.Report) float64 {
 	return float64(rep.Count) / rep.Elapsed.Seconds()
 }
 
-// parseWorkerList parses "1,2,4,0" into worker counts (0 = GOMAXPROCS,
-// resolved downstream by the bench).
-func parseWorkerList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad worker count %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty worker list")
-	}
-	return out, nil
-}
-
 func writeJSON(w io.Writer, rep *sweep.Report) error {
 	out := jsonReport{Mode: rep.Mode, Start: rep.Start, Seeds: rep.Count, Tally: rep.Tally()}
 	for _, res := range rep.Results {
@@ -267,81 +229,4 @@ func writeFailureTrace(stderr io.Writer, mode string, seed uint64) {
 		}
 	}
 	fmt.Fprintf(stderr, "rchsweep: trace-on-fail seed %d: %v\n", seed, err)
-}
-
-// runBench measures the listed modes across the worker-count curve and
-// writes the BENCH_sweep.json artifact: seeds/sec and per-seed p50/p95
-// wall time per point, with GOMAXPROCS recorded on every measurement.
-// A mode entry may carry its own seed count as "mode:seeds" — the boot
-// mode needs far more seeds than a chaos sweep for a stable wall-clock
-// measurement, since each of its seeds is microseconds of work.
-func runBench(modes string, seeds int, workerCounts []int, outPath string, stdout, stderr io.Writer) int {
-	file := sweep.BenchFile{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, mode := range strings.Split(modes, ",") {
-		mode = strings.TrimSpace(mode)
-		if mode == "" {
-			continue
-		}
-		modeSeeds := seeds
-		if mode2, n, ok := strings.Cut(mode, ":"); ok {
-			v, err := strconv.Atoi(n)
-			if err != nil || v <= 0 {
-				fmt.Fprintf(stderr, "rchsweep: bench: bad per-mode seed count %q\n", mode)
-				return 2
-			}
-			mode, modeSeeds = mode2, v
-		}
-		b, err := sweep.RunBench(mode, modeSeeds, workerCounts)
-		if err != nil {
-			fmt.Fprintf(stderr, "rchsweep: bench %s: %v\n", mode, err)
-			return 2
-		}
-		for _, m := range b.Curve {
-			fmt.Fprintf(stderr, "rchsweep: bench %s: workers=%d gomaxprocs=%d %.0f seeds/sec (×%.2f) report_identical=%v metrics_identical=%v\n",
-				mode, m.Workers, m.GOMAXPROCS, m.SeedsPerSec, m.Speedup, m.ReportIdentical, m.MetricsIdentical)
-			if !m.ReportIdentical || !m.MetricsIdentical {
-				fmt.Fprintf(stderr, "rchsweep: bench %s: DETERMINISM VIOLATION at workers=%d (report_identical=%v metrics_identical=%v)\n",
-					mode, m.Workers, m.ReportIdentical, m.MetricsIdentical)
-				return 1
-			}
-			if m.Failures > 0 {
-				fmt.Fprintf(stderr, "rchsweep: bench %s: sweep failed %d seeds; run `rchsweep -mode=%s -seeds=%d` for the replay lines\n",
-					mode, m.Failures, mode, modeSeeds)
-				return 1
-			}
-		}
-		file.Benches = append(file.Benches, b)
-	}
-	if len(file.Benches) == 0 {
-		fmt.Fprintln(stderr, "rchsweep: -bench got no modes")
-		return 2
-	}
-	w := stdout
-	if outPath != "" {
-		if dir := filepath.Dir(outPath); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintf(stderr, "rchsweep: %v\n", err)
-				return 1
-			}
-		}
-		f, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "rchsweep: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(file); err != nil {
-		fmt.Fprintf(stderr, "rchsweep: %v\n", err)
-		return 1
-	}
-	if outPath != "" {
-		fmt.Fprintf(stderr, "rchsweep: bench artifact written to %s\n", outPath)
-	}
-	return 0
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"rchdroid/internal/obs"
-	"rchdroid/internal/sweep"
 )
 
 // syncBuffer is a bytes.Buffer safe for concurrent writes: the progress
@@ -164,42 +162,6 @@ func TestThroughputFloor(t *testing.T) {
 	errOut.Reset()
 	if code := run([]string{"-mode=oracle", "-seeds=8", "-min-seeds-per-sec=0.001"}, &out, &errOut); code != 0 {
 		t.Fatalf("trivial floor exited %d\nstderr:\n%s", code, errOut.String())
-	}
-}
-
-// TestBenchWorkerCurve runs the bench path with an explicit worker
-// list and checks the artifact records the curve with per-measurement
-// GOMAXPROCS.
-func TestBenchWorkerCurve(t *testing.T) {
-	dir := t.TempDir()
-	outPath := filepath.Join(dir, "bench.json")
-	var out, errOut bytes.Buffer
-	code := run([]string{"-bench", "-mode=oracle", "-seeds=8", "-bench-workers=1,2", "-bench-out=" + outPath}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("bench exited %d\nstderr:\n%s", code, errOut.String())
-	}
-	raw, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file sweep.BenchFile
-	if err := json.Unmarshal(raw, &file); err != nil {
-		t.Fatal(err)
-	}
-	if len(file.Benches) != 1 || len(file.Benches[0].Curve) != 2 {
-		t.Fatalf("bench artifact shape wrong: %+v", file)
-	}
-	for _, m := range file.Benches[0].Curve {
-		if m.GOMAXPROCS <= 0 {
-			t.Fatalf("measurement missing gomaxprocs: %+v", m)
-		}
-		if !m.ReportIdentical || !m.MetricsIdentical {
-			t.Fatalf("determinism flags not set: %+v", m)
-		}
-	}
-
-	if code := run([]string{"-bench", "-mode=oracle", "-seeds=4", "-bench-workers=nope"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad -bench-workers exited %d, want 2", code)
 	}
 }
 

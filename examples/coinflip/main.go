@@ -33,7 +33,7 @@ func main() {
 		system.PushConfiguration(system.GlobalConfig().Rotated())
 		sched.Advance(2 * time.Second)
 		path := "coin flip"
-		if rch.Handler.Flips()+rch.Handler.InitLaunches() == rch.Handler.InitLaunches() || i == 1 {
+		if rch.Summary().Flips == 0 || i == 1 {
 			path = "init (new sunny instance)"
 		}
 		fmt.Printf("  change %d: %6.2f ms  [%s]\n", i,
@@ -43,8 +43,9 @@ func main() {
 	fmt.Println()
 	fmt.Printf("instances alive: %d (they swap roles instead of being recreated)\n",
 		len(proc.Thread().Activities()))
+	sum := rch.Summary()
 	fmt.Printf("starter stats: %d record created, %d coin flips, %d stack searches\n",
-		rch.Policy.Creates(), rch.Policy.Flips(), rch.Policy.Searches())
+		sum.CoinCreates, sum.CoinFlips, sum.CoinSearches)
 	shadow, sunny := proc.Thread().CurrentShadow(), proc.Thread().CurrentSunny()
 	fmt.Printf("current roles: #%d is Shadow (%v), #%d is Sunny (%v)\n",
 		shadow.Token(), shadow.Config().Orientation,

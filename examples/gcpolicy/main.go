@@ -28,7 +28,7 @@ func main() {
 	rch := core.Install(system, proc, core.DefaultOptions())
 	rch.GC.OnCollected = func(a *app.Activity) {
 		fmt.Printf("  [%v] GC reclaimed shadow activity #%d (%d sweeps so far)\n",
-			sched.Now(), a.Token(), rch.GC.Sweeps())
+			sched.Now(), a.Token(), rch.Summary().GCSweeps)
 	}
 	system.LaunchApp(proc)
 	sched.Advance(time.Second)
@@ -40,14 +40,15 @@ func main() {
 
 	sched.Advance(80 * time.Second) // idle: age passes THRESH_T, frequency decays
 	fmt.Printf("  [%v] after 80 s idle: shadow=%v, memory %.2f MB\n",
-		sched.Now(), rch.Handler.Migrator() != nil && proc.Thread().CurrentShadow() != nil,
+		sched.Now(), proc.Thread().CurrentShadow() != nil,
 		proc.Memory().CurrentMB())
 
 	system.PushConfiguration(system.GlobalConfig().Rotated())
 	sched.Advance(time.Second)
+	sum := rch.Summary()
 	fmt.Printf("  [%v] next change after GC pays the init path again: %.2f ms "+
 		"(init launches: %d, flips: %d)\n",
 		sched.Now(),
 		float64(system.LastHandlingTime())/float64(time.Millisecond),
-		rch.Handler.InitLaunches(), rch.Handler.Flips())
+		sum.InitLaunches, sum.Flips)
 }

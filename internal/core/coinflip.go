@@ -12,28 +12,19 @@ import (
 // flipped with the requester's; otherwise a second record for the same
 // activity is created — the modification that relaxes the stock
 // "same-activity start creates nothing" rule.
+//
+// Each of the three outcomes below (cancel, flip, create) is the one
+// emit site of its decision: it counts it and, only for an enabled
+// tracer, builds the coinFlip instant's arguments.
 type CoinFlipPolicy struct {
-	// Counters for reports.
-	searches int
-	flips    int
-	creates  int
+	// sum holds the Coin* fields of the Summary; the policy is shared by
+	// every process on its server, so RCHDroid.Summary reads them here.
+	sum Summary
 }
-
-// NewCoinFlipPolicy returns the RCHDroid starter policy.
-func NewCoinFlipPolicy() *CoinFlipPolicy { return &CoinFlipPolicy{} }
-
-// Searches returns how many shadow-record stack searches ran.
-func (p *CoinFlipPolicy) Searches() int { return p.searches }
-
-// Flips returns how many requests were served by a coin flip.
-func (p *CoinFlipPolicy) Flips() int { return p.flips }
-
-// Creates returns how many requests needed a fresh record.
-func (p *CoinFlipPolicy) Creates() int { return p.creates }
 
 // HandleSunnyStart implements atms.StarterPolicy.
 func (p *CoinFlipPolicy) HandleSunnyStart(a *atms.ATMS, task *atms.TaskRecord, from *atms.ActivityRecord, newCfg config.Configuration) {
-	p.searches++
+	p.sum.CoinSearches++
 	shadowRec := task.FindShadow()
 	model := a.Model()
 
@@ -44,9 +35,12 @@ func (p *CoinFlipPolicy) HandleSunnyStart(a *atms.ATMS, task *atms.TaskRecord, f
 		// invert the back stack (back would then finish the wrong
 		// activity), so the start is cancelled; the app side demotes the
 		// waiting shadow back to a stopped live instance.
-		a.Tracer().Instant(a.Track(), "coinFlip", "rch",
-			trace.Arg{Key: "decision", Val: "cancel"},
-			trace.Arg{Key: "reason", Val: "covered"})
+		p.sum.CoinCancels++
+		if tr := a.Tracer(); tr.Enabled() {
+			tr.Instant(a.Track(), "coinFlip", "rch",
+				trace.Arg{Key: "decision", Val: "cancel"},
+				trace.Arg{Key: "reason", Val: "covered"})
+		}
 		a.ChargeServer(model.ATMSStackSearch)
 		a.RunOnServer("sunnyCancelReply", 0, func() {
 			a.Bus().Transact(from.Proc.Endpoint(), "cancelSunny", 64, 0, func() {
@@ -59,12 +53,13 @@ func (p *CoinFlipPolicy) HandleSunnyStart(a *atms.ATMS, task *atms.TaskRecord, f
 	if shadowRec != nil && shadowRec.Config.Equal(newCfg) {
 		// Coin flip: reorder the shadow record to the top, clear its
 		// shadow state, and push the requester into the shadow state.
-		p.flips++
-		a.Starter().CountFlip()
-		a.Tracer().Instant(a.Track(), "coinFlip", "rch",
-			trace.Arg{Key: "decision", Val: "flip"},
-			trace.Arg{Key: "shadowConfig", Val: shadowRec.Config.String()},
-			trace.Arg{Key: "newConfig", Val: newCfg.String()})
+		p.sum.CoinFlips++
+		if tr := a.Tracer(); tr.Enabled() {
+			tr.Instant(a.Track(), "coinFlip", "rch",
+				trace.Arg{Key: "decision", Val: "flip"},
+				trace.Arg{Key: "shadowConfig", Val: shadowRec.Config.String()},
+				trace.Arg{Key: "newConfig", Val: newCfg.String()})
+		}
 		task.MoveToTop(shadowRec)
 		shadowRec.SetShadow(false)
 		from.SetShadow(true)
@@ -81,13 +76,13 @@ func (p *CoinFlipPolicy) HandleSunnyStart(a *atms.ATMS, task *atms.TaskRecord, f
 
 	// First-time change (or stale/missing shadow): create a second record
 	// for the same activity class and mark the requester shadow.
-	p.creates++
-	if a.Tracer().Enabled() {
+	p.sum.CoinCreates++
+	if tr := a.Tracer(); tr.Enabled() {
 		reason := "noShadow"
 		if shadowRec != nil {
 			reason = "staleShadow"
 		}
-		a.Tracer().Instant(a.Track(), "coinFlip", "rch",
+		tr.Instant(a.Track(), "coinFlip", "rch",
 			trace.Arg{Key: "decision", Val: "create"},
 			trace.Arg{Key: "reason", Val: reason},
 			trace.Arg{Key: "newConfig", Val: newCfg.String()})

@@ -198,13 +198,11 @@ func TestRCHDroidSurvivesAsyncTaskAndMigrates(t *testing.T) {
 			t.Fatalf("sunny ImageView %d not migrated: %q", i, iv.Drawable())
 		}
 	}
-	if r.rch.Migrator.Migrations() != 1 || r.rch.Migrator.ViewsMigrated() != 4 {
-		t.Fatalf("migrations=%d views=%d", r.rch.Migrator.Migrations(), r.rch.Migrator.ViewsMigrated())
+	sum := r.rch.Summary()
+	if len(sum.MigrationTimes) != 1 || sum.ViewsMigrated != 4 {
+		t.Fatalf("migration times=%v views=%d", sum.MigrationTimes, sum.ViewsMigrated)
 	}
-	mt := r.rch.MigrationTimes()
-	if len(mt) != 1 {
-		t.Fatalf("migration times = %v", mt)
-	}
+	mt := sum.MigrationTimes
 	t.Logf("async migration time (4 views): %.2f ms", ms(mt[0]))
 
 	// The shadow instance is still alive and flagged.
@@ -228,11 +226,8 @@ func TestRCHDroidCoinFlipReusesShadowInstance(t *testing.T) {
 	dFlip := r.change(t, config.Default()) // back to landscape → flip
 	t.Logf("init=%.2f ms flip=%.2f ms", ms(dInit), ms(dFlip))
 
-	if r.rch.Handler.Flips() != 1 || r.rch.Handler.InitLaunches() != 1 {
-		t.Fatalf("flips=%d inits=%d", r.rch.Handler.Flips(), r.rch.Handler.InitLaunches())
-	}
-	if r.rch.Policy.Flips() != 1 {
-		t.Fatalf("policy flips = %d", r.rch.Policy.Flips())
+	if sum := r.rch.Summary(); sum.Flips != 1 || sum.InitLaunches != 1 || sum.CoinFlips != 1 {
+		t.Fatalf("flips=%d inits=%d policy flips=%d", sum.Flips, sum.InitLaunches, sum.CoinFlips)
 	}
 	// Roles must have swapped: the old shadow is now sunny and vice versa.
 	if r.proc.Thread().CurrentSunny() != shadowAfterInit {
@@ -294,8 +289,8 @@ func TestThresholdGCReclaimsColdShadow(t *testing.T) {
 	if r.proc.Thread().CurrentShadow() != nil {
 		t.Fatal("cold shadow not collected after THRESH_T")
 	}
-	if r.rch.GC.Collected() != 1 {
-		t.Fatalf("collected = %d", r.rch.GC.Collected())
+	if n := r.rch.Summary().GCCollects; n != 1 {
+		t.Fatalf("collected = %d", n)
 	}
 	if got := r.proc.Memory().CurrentMB(); got >= memWithShadow {
 		t.Fatalf("memory after GC (%v MB) not below with-shadow (%v MB)", got, memWithShadow)
@@ -307,8 +302,8 @@ func TestThresholdGCReclaimsColdShadow(t *testing.T) {
 	}
 	// And the next change is an init again, not a flip.
 	r.change(t, config.Default())
-	if r.rch.Handler.InitLaunches() != 2 {
-		t.Fatalf("init launches = %d, want 2", r.rch.Handler.InitLaunches())
+	if n := r.rch.Summary().InitLaunches; n != 2 {
+		t.Fatalf("init launches = %d, want 2", n)
 	}
 }
 
@@ -327,11 +322,8 @@ func TestHotShadowSurvivesGC(t *testing.T) {
 	if r.proc.Thread().CurrentShadow() == nil {
 		t.Fatal("hot shadow should not be collected")
 	}
-	if r.rch.GC.Collected() != 0 {
-		t.Fatalf("collected = %d, want 0", r.rch.GC.Collected())
-	}
-	if r.rch.Handler.Flips() < 10 {
-		t.Fatalf("flips = %d, want >= 10", r.rch.Handler.Flips())
+	if sum := r.rch.Summary(); sum.GCCollects != 0 || sum.Flips < 10 {
+		t.Fatalf("collected = %d (want 0), flips = %d (want >= 10)", sum.GCCollects, sum.Flips)
 	}
 }
 
@@ -420,7 +412,7 @@ func TestShadowReleasedImmediatelyOnAppSwitch(t *testing.T) {
 	if got := p1.Memory().CurrentMB(); got >= memWithShadow {
 		t.Fatalf("memory %.2f MB not reduced from %.2f MB", got, memWithShadow)
 	}
-	if rch.GC != nil && rch.GC.Collected() != 0 {
+	if rch.Summary().GCCollects != 0 {
 		t.Fatal("release must come from the switch, not the GC")
 	}
 	// Returning to the app and rotating again pays the init path.
@@ -428,8 +420,8 @@ func TestShadowReleasedImmediatelyOnAppSwitch(t *testing.T) {
 	sched.Advance(2 * time.Second)
 	sys.PushConfiguration(config.Default())
 	sched.Advance(2 * time.Second)
-	if rch.Handler.InitLaunches() != 2 {
-		t.Fatalf("init launches = %d, want 2 (post-switch change re-inits)", rch.Handler.InitLaunches())
+	if n := rch.Summary().InitLaunches; n != 2 {
+		t.Fatalf("init launches = %d, want 2 (post-switch change re-inits)", n)
 	}
 	if p1.Crashed() {
 		t.Fatalf("crashed: %v", p1.CrashCause())
@@ -788,15 +780,15 @@ func TestGCFrequencyBoundaryExactlyAtThreshold(t *testing.T) {
 func TestGCDisarmsWhenNoShadow(t *testing.T) {
 	r := newRig(t, benchApp(2, time.Hour), true)
 	r.change(t, config.Portrait())
-	sweepsBefore := r.rch.GC.Sweeps()
+	sweepsBefore := r.rch.Summary().GCSweeps
 	r.sched.Advance(70 * time.Second) // collects, then disarms
-	collectedSweeps := r.rch.GC.Sweeps()
+	collectedSweeps := r.rch.Summary().GCSweeps
 	if collectedSweeps <= sweepsBefore {
 		t.Fatal("no sweeps ran")
 	}
 	r.sched.Advance(5 * time.Minute)
-	if r.rch.GC.Sweeps() != collectedSweeps {
-		t.Fatalf("GC kept sweeping with no shadow: %d → %d", collectedSweeps, r.rch.GC.Sweeps())
+	if n := r.rch.Summary().GCSweeps; n != collectedSweeps {
+		t.Fatalf("GC kept sweeping with no shadow: %d → %d", collectedSweeps, n)
 	}
 }
 
@@ -903,7 +895,7 @@ func TestMigrationDirectionSurvivesRepeatedFlips(t *testing.T) {
 		})
 		r.sched.Advance(50 * time.Millisecond)
 	}
-	if r.rch.Handler.Flips() < 3 {
-		t.Fatalf("flips = %d, want repeated coin flips", r.rch.Handler.Flips())
+	if n := r.rch.Summary().Flips; n < 3 {
+		t.Fatalf("flips = %d, want repeated coin flips", n)
 	}
 }

@@ -41,34 +41,27 @@ func DefaultGCConfig() GCConfig {
 type ThresholdGC struct {
 	cfg      GCConfig
 	migrator *Migrator
+	tally    *tally
 	armed    bool
-
-	sweeps    int
-	collected int
 
 	// OnCollected, if set, observes each reclaimed shadow activity.
 	OnCollected func(a *app.Activity)
 }
 
-// NewThresholdGC returns a GC with the given parameters.
-func NewThresholdGC(cfg GCConfig, m *Migrator) *ThresholdGC {
+// newThresholdGC returns a GC with the given parameters, counting into
+// the installation's tally.
+func newThresholdGC(cfg GCConfig, m *Migrator, tl *tally) *ThresholdGC {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = time.Minute
 	}
-	return &ThresholdGC{cfg: cfg, migrator: m}
+	return &ThresholdGC{cfg: cfg, migrator: m, tally: tl}
 }
 
 // Config returns the active parameters.
 func (g *ThresholdGC) Config() GCConfig { return g.cfg }
-
-// Sweeps returns how many GC passes have run.
-func (g *ThresholdGC) Sweeps() int { return g.sweeps }
-
-// Collected returns how many shadow activities were reclaimed.
-func (g *ThresholdGC) Collected() int { return g.collected }
 
 // Arm starts the periodic routine if it is not already running. It is
 // called whenever an activity enters the shadow state; the routine
@@ -101,7 +94,7 @@ func (g *ThresholdGC) schedule(t *app.ActivityThread) {
 // sweep is Algorithm 1: compare shadow_time and shadow_frequency against
 // the thresholds and reclaim when both conditions hold.
 func (g *ThresholdGC) sweep(t *app.ActivityThread) {
-	g.sweeps++
+	g.tally.gcSweep()
 	shadow := t.CurrentShadow()
 	if shadow == nil || shadow.State() != app.StateShadow {
 		g.armed = false
@@ -114,18 +107,18 @@ func (g *ThresholdGC) sweep(t *app.ActivityThread) {
 	// recent behaviour rather than a full stale minute.
 	count := shadow.ShadowFrequency(now, g.cfg.Window)
 	ratePerMin := float64(count) * float64(time.Minute) / float64(g.cfg.Window)
-	collect := shadowTime > g.cfg.ThreshT && ratePerMin < float64(g.cfg.ThreshF)
+	decision := "keep"
+	switch {
+	case shadow.AsyncInFlight() > 0:
+		decision = "deferAsync" // never reclaim under an in-flight task; retry next sweep
+	case shadowTime > g.cfg.ThreshT && ratePerMin < float64(g.cfg.ThreshF):
+		decision = "collect"
+		g.tally.gcCollect()
+	}
 	if tr, track := t.Trace(); tr.Enabled() {
 		// Every Algorithm 1 evaluation lands on the timeline with its
 		// inputs, so a missed (or premature) collection is diagnosable
 		// from the trace alone.
-		decision := "keep"
-		switch {
-		case shadow.AsyncInFlight() > 0:
-			decision = "deferAsync"
-		case collect:
-			decision = "collect"
-		}
 		tr.Instant(track, "shadowGCEval", "rch",
 			trace.Arg{Key: "decision", Val: decision},
 			trace.Arg{Key: "shadowTime", Val: shadowTime},
@@ -133,20 +126,17 @@ func (g *ThresholdGC) sweep(t *app.ActivityThread) {
 			trace.Arg{Key: "ratePerMin", Val: ratePerMin},
 			trace.Arg{Key: "threshF", Val: g.cfg.ThreshF})
 	}
-	if shadow.AsyncInFlight() > 0 {
-		return // never reclaim under an in-flight task; retry next sweep
+	if decision != "collect" {
+		return
 	}
-	if collect {
-		g.collected++
-		if g.migrator != nil {
-			g.migrator.RemoveHook(shadow)
-		}
-		// PerformDestroy clears the shadow pointer, settles the sunny
-		// partner to Resumed and notifies the ATMS.
-		t.PerformDestroy(shadow)
-		if g.OnCollected != nil {
-			g.OnCollected(shadow)
-		}
-		g.armed = false
+	if g.migrator != nil {
+		g.migrator.RemoveHook(shadow)
 	}
+	// PerformDestroy clears the shadow pointer, settles the sunny
+	// partner to Resumed and notifies the ATMS.
+	t.PerformDestroy(shadow)
+	if g.OnCollected != nil {
+		g.OnCollected(shadow)
+	}
+	g.armed = false
 }

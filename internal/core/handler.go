@@ -93,51 +93,16 @@ type ShadowHandler struct {
 	// bundle transfer (consulted once per attempt).
 	xfer func(attempt int) chaos.TransferFault
 
-	// Counters for reports.
-	initLaunches     int
-	flips            int
-	zombiesReaped    int
-	stockRouted      int
-	supersededRoutes int
-
-	// obs mirrors the counters (plus per-phase sim-duration histograms)
-	// into the aggregate metrics shard; nil handles no-op.
-	obs handlerObs
-}
-
-// NewShadowHandler returns a handler using the given migrator and GC.
-func NewShadowHandler(m *Migrator, gc *ThresholdGC) *ShadowHandler {
-	return &ShadowHandler{migrator: m, gc: gc}
+	// tally counts every handler decision and records the per-phase
+	// sim-duration histograms.
+	tally *tally
 }
 
 // Name implements app.ChangeHandler.
 func (h *ShadowHandler) Name() string { return "RCHDroid" }
 
-// InitLaunches returns how many first-time (RCHDroid-init) handlings ran.
-func (h *ShadowHandler) InitLaunches() int { return h.initLaunches }
-
-// Flips returns how many coin-flip handlings ran.
-func (h *ShadowHandler) Flips() int { return h.flips }
-
-// ZombiesReaped returns how many demoted shadows were destroyed after
-// their asynchronous work drained.
-func (h *ShadowHandler) ZombiesReaped() int { return h.zombiesReaped }
-
-// StockRouted returns how many runtime changes the guard routed through
-// the stock restart path.
-func (h *ShadowHandler) StockRouted() int { return h.stockRouted }
-
-// SupersededStockRoutes returns how many queued stock-routed relaunches
-// fizzled because a newer handling was scheduled before their phases ran
-// — each one is an averted instance of the guarded-seed-613 stale-relaunch
-// race.
-func (h *ShadowHandler) SupersededStockRoutes() int { return h.supersededRoutes }
-
 // Guard returns the supervising guard, or nil.
 func (h *ShadowHandler) Guard() *guard.Guard { return h.guard }
-
-// Migrator returns the lazy-migration engine.
-func (h *ShadowHandler) Migrator() *Migrator { return h.migrator }
 
 // SetPhaseStall installs a fault hook consulted once per executed
 // handling phase; a non-zero return stretches that phase's occupancy,
@@ -162,7 +127,7 @@ func (h *ShadowHandler) HandleRuntimeChange(t *app.ActivityThread, a *app.Activi
 	class := a.Class().Name
 	h.handlingGen++
 	gen := h.handlingGen
-	h.obs.handlings.Inc()
+	h.tally.handling()
 	if !h.guard.Allow(class) {
 		// Degraded: the guard quarantined this class (or opened the
 		// process breaker), so the change takes the stock restart path.
@@ -223,7 +188,7 @@ func (h *ShadowHandler) HandleRuntimeChange(t *app.ActivityThread, a *app.Activi
 			h.setPendingShadow(t, a)
 			h.changesInFlight++
 			cost := m.ShadowFlipTransition + extra + h.stallFor("enterShadow(flip)")
-			h.obs.phaseEnterShadow.ObserveDuration(cost)
+			h.tally.phaseEnterShadow.ObserveDuration(cost)
 			return cost
 		})
 	} else {
@@ -267,7 +232,7 @@ func (h *ShadowHandler) HandleRuntimeChange(t *app.ActivityThread, a *app.Activi
 			h.setPendingShadow(t, a)
 			h.changesInFlight++
 			cost := m.ShadowTransition + m.SaveState(n) + extra + h.stallFor("enterShadow")
-			h.obs.phaseEnterShadow.ObserveDuration(cost)
+			h.tally.phaseEnterShadow.ObserveDuration(cost)
 			return cost
 		})
 	}
@@ -316,8 +281,7 @@ func (h *ShadowHandler) HandleRuntimeChange(t *app.ActivityThread, a *app.Activi
 // down and relaunching the old token anyway would put a second visible
 // activity next to the one the newer handling produces.
 func (h *ShadowHandler) handleStockRouted(t *app.ActivityThread, a *app.Activity, newCfg config.Configuration, gen int) {
-	h.stockRouted++
-	h.obs.stockRouted.Inc()
+	h.tally.stockRoute()
 	m := t.Process().Model()
 	class, token := a.Class(), a.Token()
 	var saved *bundle.Bundle
@@ -329,8 +293,7 @@ func (h *ShadowHandler) handleStockRouted(t *app.ActivityThread, a *app.Activity
 		}
 		if !counted {
 			counted = true
-			h.supersededRoutes++
-			h.obs.superseded.Inc()
+			h.tally.supersededRoute()
 		}
 		return true
 	}
@@ -420,8 +383,7 @@ func (h *ShadowHandler) reapZombies(t *app.ActivityThread) {
 		}
 		if z.AsyncInFlight() == 0 {
 			t.PerformDestroy(z)
-			h.zombiesReaped++
-			h.obs.zombieReaps.Inc()
+			h.tally.zombieReap()
 			continue
 		}
 		remaining = append(remaining, z)
@@ -437,8 +399,7 @@ func (h *ShadowHandler) Zombies() int { return len(h.zombies) }
 // from the shadow snapshot, and the essence mapping is built before the
 // resume (the handleResumeActivity modification).
 func (h *ShadowHandler) HandleSunnyLaunch(t *app.ActivityThread, class *app.ActivityClass, token int, newCfg config.Configuration) {
-	h.initLaunches++
-	h.obs.initLaunches.Inc()
+	h.tally.initLaunch()
 	// The server answered with a record, not a flip; replies arrive in
 	// request order, so any flip prediction still outstanding is resolved
 	// by now and the partner is releasable again.
@@ -479,7 +440,7 @@ func (h *ShadowHandler) HandleSunnyLaunch(t *app.ActivityThread, class *app.Acti
 				cost = m.SunnySetup + m.BuildMappingQuadratic(n)
 			}
 			cost += h.stallFor("buildMapping")
-			h.obs.phaseBuildMap.ObserveDuration(cost)
+			h.tally.phaseBuildMap.ObserveDuration(cost)
 			return "rch:buildMapping", cost, func() {
 				if shadow == nil {
 					return
@@ -515,8 +476,7 @@ func (h *ShadowHandler) HandleSunnyLaunch(t *app.ActivityThread, class *app.Acti
 // shadow instance is brought back to the foreground under the new
 // configuration; no inflation, no restore, no mapping build (§3.4).
 func (h *ShadowHandler) HandleFlip(t *app.ActivityThread, shadowToken int, newCfg config.Configuration) {
-	h.flips++
-	h.obs.flips.Inc()
+	h.tally.flip()
 	m := t.Process().Model()
 	incoming := t.Activity(shadowToken)
 	if incoming == nil || h.flipPending == incoming {
@@ -566,7 +526,7 @@ func (h *ShadowHandler) HandleFlip(t *app.ActivityThread, shadowToken int, newCf
 		t.SetCurrentShadow(outgoing)
 		t.SetCurrentSunny(incoming)
 		cost := m.ConfigApply + m.SunnySetup + restoreCost + h.stallFor("flip")
-		h.obs.phaseFlip.ObserveDuration(cost)
+		h.tally.phaseFlip.ObserveDuration(cost)
 		return cost
 	})
 	t.RunCharged("rch:flipResume", func() time.Duration {
@@ -575,7 +535,7 @@ func (h *ShadowHandler) HandleFlip(t *app.ActivityThread, shadowToken int, newCf
 			extra = incoming.Class().ExtraResumeCost
 		}
 		cost := m.ResumeBase + extra + m.WindowRelayout
-		h.obs.phaseFlipResume.ObserveDuration(cost)
+		h.tally.phaseFlipResume.ObserveDuration(cost)
 		return cost
 	})
 	t.RunCharged("rch:flipDone", func() time.Duration {

@@ -175,10 +175,12 @@ func MigrateView(src view.View) string {
 }
 
 // Migrator owns the lazy-migration machinery for one activity thread: the
-// invalidate hook it installs on the shadow tree, the set of views dirtied
-// by asynchronous callbacks, and the migration statistics of Fig 10b.
+// invalidate hook it installs on the shadow tree and the set of views
+// dirtied by asynchronous callbacks. Each flushed batch is counted into
+// the installation's tally (the Fig 10b statistics).
 type Migrator struct {
 	thread  *app.ActivityThread
+	tally   *tally
 	pending []view.View
 	inSet   map[view.View]bool
 	eager   bool
@@ -188,18 +190,6 @@ type Migrator struct {
 	// deferred batch is re-flushed when the delay expires.
 	flushFault func(pending int) time.Duration
 	deferred   bool
-
-	migrations     int
-	viewsMigrated  int
-	migrationTimes []time.Duration
-
-	// OnMigrated, if set, observes each flushed migration batch.
-	OnMigrated func(views int, d time.Duration)
-}
-
-// NewMigrator returns a migrator for the thread.
-func NewMigrator(t *app.ActivityThread) *Migrator {
-	return &Migrator{thread: t, inSet: make(map[view.View]bool)}
 }
 
 // InstallHook arms the invalidate hook on a shadow activity's window so
@@ -286,12 +276,7 @@ func (m *Migrator) Flush() {
 			}
 			v.Base().ClearDirty()
 		}
-		m.migrations++
-		m.viewsMigrated += n
-		m.migrationTimes = append(m.migrationTimes, cost)
-		if m.OnMigrated != nil {
-			m.OnMigrated(n, cost)
-		}
+		m.tally.migrated(n, cost)
 		return cost
 	})
 }
@@ -299,17 +284,3 @@ func (m *Migrator) Flush() {
 // SetFlushFault installs (or, with nil, removes) the flush-deferral
 // fault hook.
 func (m *Migrator) SetFlushFault(fn func(pending int) time.Duration) { m.flushFault = fn }
-
-// Migrations returns how many migration batches have been flushed.
-func (m *Migrator) Migrations() int { return m.migrations }
-
-// ViewsMigrated returns the total number of views migrated.
-func (m *Migrator) ViewsMigrated() int { return m.viewsMigrated }
-
-// MigrationTimes returns the charged duration of each batch (the Fig 10b
-// metric).
-func (m *Migrator) MigrationTimes() []time.Duration {
-	out := make([]time.Duration, len(m.migrationTimes))
-	copy(out, m.migrationTimes)
-	return out
-}

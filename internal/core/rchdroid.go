@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rchdroid/internal/app"
@@ -71,19 +72,20 @@ func DefaultOptions() Options {
 	return Options{GC: DefaultGCConfig()}
 }
 
-// RCHDroid bundles the installed components for one process, giving
-// experiments access to the counters and statistics.
+// RCHDroid bundles the installed components for one process; Summary
+// gives experiments the decision tally.
 type RCHDroid struct {
-	Handler  *ShadowHandler
-	Migrator *Migrator
-	GC       *ThresholdGC
-	Policy   *CoinFlipPolicy
-	Guard    *guard.Guard
+	Handler *ShadowHandler
+	GC      *ThresholdGC
+	Policy  *CoinFlipPolicy
+	Guard   *guard.Guard
 	// PolicyMismatch is non-empty when Install found a foreign starter
 	// policy already in place and refused to run the coin flip. The
 	// condition is also logged, traced, and surfaced through the guard
 	// self-check, so it can never silently disable the flip.
 	PolicyMismatch string
+
+	tally *tally
 }
 
 // Install wires RCHDroid onto a process and its system server:
@@ -91,17 +93,16 @@ type RCHDroid struct {
 // policy on the ATMS starter (shared; installing twice reuses it), the
 // essence-mapping migrator on the view layer, and the threshold GC.
 func Install(sys *atms.ATMS, proc *app.Process, opts Options) *RCHDroid {
-	migrator := NewMigrator(proc.Thread())
-	migrator.eager = opts.EagerMigration
+	tl := newTally(opts.Obs)
+	migrator := &Migrator{thread: proc.Thread(), tally: tl, inSet: make(map[view.View]bool), eager: opts.EagerMigration}
 	var gc *ThresholdGC
 	if !opts.DisableGC {
-		gc = NewThresholdGC(opts.GC, migrator)
+		gc = newThresholdGC(opts.GC, migrator, tl)
 	}
-	handler := NewShadowHandler(migrator, gc)
+	handler := &ShadowHandler{migrator: migrator, gc: gc, tally: tl}
 	handler.quadraticMapping = opts.QuadraticMapping
 	handler.disableSupersession = opts.DisableSupersession
 	handler.disableFlipPinning = opts.DisableFlipPinning
-	handler.obs = newHandlerObs(opts.Obs)
 	var g *guard.Guard
 	if opts.Guard != nil {
 		g = guard.New(*opts.Guard, proc.Scheduler(), proc, sys)
@@ -202,7 +203,7 @@ func Install(sys *atms.ATMS, proc *app.Process, opts Options) *RCHDroid {
 	} else {
 		switch p := sys.Starter().Policy().(type) {
 		case nil:
-			policy = NewCoinFlipPolicy()
+			policy = &CoinFlipPolicy{}
 			sys.Starter().SetPolicy(policy)
 		case *CoinFlipPolicy:
 			// Shared server: a second install on the same system reuses
@@ -222,11 +223,18 @@ func Install(sys *atms.ATMS, proc *app.Process, opts Options) *RCHDroid {
 				trace.Arg{Key: "policy", Val: fmt.Sprintf("%T", p)})
 		}
 	}
-	return &RCHDroid{Handler: handler, Migrator: migrator, GC: gc, Policy: policy, Guard: g,
-		PolicyMismatch: policyMismatch}
+	return &RCHDroid{Handler: handler, GC: gc, Policy: policy, Guard: g,
+		PolicyMismatch: policyMismatch, tally: tl}
 }
 
-// MigrationTimes returns the lazy-migration batch durations (Fig 10b).
-func (r *RCHDroid) MigrationTimes() []time.Duration {
-	return r.Migrator.MigrationTimes()
+// Summary returns the decision tally: this process's handler, GC and
+// migration counts plus the shared coin-flip policy's.
+func (r *RCHDroid) Summary() Summary {
+	sum := r.tally.sum
+	sum.MigrationTimes = slices.Clone(sum.MigrationTimes)
+	if p := r.Policy; p != nil {
+		sum.CoinSearches, sum.CoinFlips, sum.CoinCreates, sum.CoinCancels =
+			p.sum.CoinSearches, p.sum.CoinFlips, p.sum.CoinCreates, p.sum.CoinCancels
+	}
+	return sum
 }

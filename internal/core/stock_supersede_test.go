@@ -90,7 +90,7 @@ func TestBackToBackStockRoutesCoalesce(t *testing.T) {
 	h.HandleRuntimeChange(th, fg, cfgB)
 	r.sched.Advance(3 * time.Second)
 
-	if got := h.StockRouted(); got != 2 {
+	if got := r.rch.Summary().StockRouted; got != 2 {
 		t.Fatalf("stock-routed count = %d, want 2", got)
 	}
 	vis := visibleActivities(th)

@@ -58,7 +58,7 @@ func TestTrimMemoryReleasesShadowAndReapsZombies(t *testing.T) {
 	if got := r.rch.Handler.Zombies(); got != 0 {
 		t.Fatalf("Zombies after drain+trim = %d, want 0", got)
 	}
-	if got := r.rch.Handler.ZombiesReaped(); got != 1 {
+	if got := r.rch.Summary().ZombiesReaped; got != 1 {
 		t.Fatalf("ZombiesReaped = %d, want 1", got)
 	}
 	if shadow.State() != app.StateDestroyed {

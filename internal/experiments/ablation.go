@@ -61,7 +61,7 @@ func Ablations() *AblationResult {
 		rig.Rotate()
 		rig.Sched.Advance(2 * time.Second)
 		if rig.RCH != nil {
-			if times := rig.RCH.MigrationTimes(); len(times) > 0 {
+			if times := rig.RCH.Summary().MigrationTimes; len(times) > 0 {
 				row.MigrateMS = ms(times[len(times)-1])
 			}
 		}

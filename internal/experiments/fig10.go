@@ -58,7 +58,7 @@ func Fig10() *Fig10Result {
 		rch.Sched.Advance(50 * time.Millisecond)
 		if _, err := rch.Rotate(); err == nil {
 			rch.Sched.Advance(2 * time.Second)
-			times := rch.RCH.MigrationTimes()
+			times := rch.RCH.Summary().MigrationTimes
 			if len(times) > 0 {
 				row.MigrateMS = ms(times[len(times)-1])
 			}

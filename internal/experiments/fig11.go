@@ -73,8 +73,9 @@ func Fig11() *Fig11Result {
 			AvgMemMB:      mean(memSamples),
 		}
 		if rig.RCH != nil && len(times) > 0 {
-			row.FlipRate = float64(rig.RCH.Handler.Flips()) / float64(len(times))
-			row.Collections = rig.RCH.GC.Collected()
+			sum := rig.RCH.Summary()
+			row.FlipRate = float64(sum.Flips) / float64(len(times))
+			row.Collections = sum.GCCollects
 		}
 		if res.StockBusyMS > 0 {
 			// CPU overhead = RCHDroid-specific work (shadow transitions,

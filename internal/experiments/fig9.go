@@ -74,7 +74,7 @@ func Fig9() *Fig9Result {
 		mem := rig.Proc.Memory().TraceSeries()
 		migrations := 0
 		if rig.RCH != nil {
-			migrations = rig.RCH.Migrator.Migrations()
+			migrations = len(rig.RCH.Summary().MigrationTimes)
 		}
 		// Utilisation of the windows containing each change, relative to
 		// a 1-second profiler window.

@@ -52,7 +52,7 @@ func Spread(runs int) *SpreadResult {
 		r.Sched.Advance(50 * time.Millisecond)
 		if _, err := r.Rotate(); err == nil {
 			r.Sched.Advance(2 * time.Second)
-			if times := r.RCH.MigrationTimes(); len(times) > 0 {
+			if times := r.RCH.Summary().MigrationTimes; len(times) > 0 {
 				migrate = append(migrate, ms(times[len(times)-1]))
 			}
 		}

@@ -114,7 +114,7 @@ func TestSeed613ScheduleSpaceTwin(t *testing.T) {
 	if v := RunSchedule(&sc, sp, 0, guardedCountingInstaller(&baseline), nil); !v.OK() {
 		t.Fatalf("baseline quarantine-recovery run failed:\n%s", v.String())
 	}
-	if n := baseline.Handler.SupersededStockRoutes(); n != 0 {
+	if n := baseline.Summary().SupersededStockRoutes; n != 0 {
 		t.Fatalf("baseline run superseded %d stock routes, want 0 — the twin's injection is no longer what opens the window", n)
 	}
 
@@ -125,7 +125,7 @@ func TestSeed613ScheduleSpaceTwin(t *testing.T) {
 	if !v.OK() {
 		t.Fatalf("guarded build failed the twin schedule %s (idx %d):\n%s", twinSchedule, idx, v.String())
 	}
-	if n := rch.Handler.SupersededStockRoutes(); n < 1 {
+	if n := rch.Summary().SupersededStockRoutes; n < 1 {
 		t.Fatalf("twin schedule %s (idx %d) no longer supersedes a queued stock route — the enumerator lost the seed-613 window", twinSchedule, idx)
 	}
 

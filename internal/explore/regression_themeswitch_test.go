@@ -92,7 +92,7 @@ func TestThemeSwitchFlipPinningRace(t *testing.T) {
 	if !v.OK() {
 		t.Fatalf("default build failed the race schedule %s (idx %d):\n%s", raceSchedule, idx, v.String())
 	}
-	if n := rch.Handler.Flips(); n < 1 {
+	if n := rch.Summary().Flips; n < 1 {
 		t.Fatalf("race schedule %s (idx %d) ran no flips — the enumerator lost the flip-pinning window", raceSchedule, idx)
 	}
 

@@ -38,9 +38,11 @@ type TraceStats struct {
 	// "runtimeChange" spans, begin→end per id).
 	Handling []time.Duration
 
-	// Decision and fault counters read off instants.
+	// Decision and fault counters read off instants. The three coin-flip
+	// counters split the coinFlip instants by decision.
 	CoinFlips   int
 	CoinCreates int
+	CoinCancels int
 	GCEvals     int
 	GCCollects  int
 	Migrations  int
@@ -117,10 +119,13 @@ func AnalyzeTrace(events []trace.Event) TraceStats {
 			}
 			switch e.Name {
 			case "coinFlip":
-				if argOf(e, "decision") == "flip" {
+				switch argOf(e, "decision") {
+				case "flip":
 					st.CoinFlips++
-				} else {
+				case "create":
 					st.CoinCreates++
+				case "cancel":
+					st.CoinCancels++
 				}
 			case "shadowGCEval":
 				st.GCEvals++
@@ -210,8 +215,12 @@ func (st TraceStats) Render(limit int) string {
 			strings.TrimSpace(ms(time.Duration(Percentile(xs, 95)))),
 			strings.TrimSpace(ms(time.Duration(Percentile(xs, 99)))))
 	}
-	if st.CoinFlips+st.CoinCreates > 0 {
-		fmt.Fprintf(&sb, "coin flips: %d flip / %d create\n", st.CoinFlips, st.CoinCreates)
+	if st.CoinFlips+st.CoinCreates+st.CoinCancels > 0 {
+		fmt.Fprintf(&sb, "coin flips: %d flip / %d create", st.CoinFlips, st.CoinCreates)
+		if st.CoinCancels > 0 {
+			fmt.Fprintf(&sb, " / %d cancel", st.CoinCancels)
+		}
+		sb.WriteByte('\n')
 	}
 	if st.GCEvals > 0 {
 		fmt.Fprintf(&sb, "shadow GC: %d evals, %d collected\n", st.GCEvals, st.GCCollects)

@@ -32,9 +32,10 @@
 #                      the fresh-build reference (a nil template cache):
 #                      merged report, failure output AND canonical
 #                      metrics dump must be byte-identical
-#  10. determinism   — 64-seed sequential cross-check: -workers=1 and
-#                      -workers=N merged reports AND canonical metric
-#                      dumps must be byte-identical
+#  10. determinism   — sequential cross-checks of the oracle (64 seeds),
+#                      guard (128 seeds) and boot (5000 seeds) modes:
+#                      -workers=1 and -workers=N merged reports AND
+#                      canonical metric dumps must be byte-identical
 #  11. guarded sweep — 1024-seed guarded-chaos run on the engine: zero
 #                      invariant violations, no quarantine/breaker
 #                      decision without a preceding injected fault, and
@@ -62,11 +63,6 @@
 #                      (p50/p95/p99 per op class, machine-readable shed
 #                      map + rate, breaker/guard counters) and the
 #                      replay's canonical metrics dump must be non-empty
-#  17. bench         — scripts/bench.sh -quick (CI-sized scaling curve +
-#                      determinism byte-compare of reports and metrics;
-#                      written to ./artifacts/ so the committed 512-seed
-#                      BENCH_sweep.json and BENCH_replay.json stay
-#                      stable)
 #
 # The sweeps run on cmd/rchsweep: any failing seed (including a
 # recovered worker panic, attributed to its seed) exits non-zero and
@@ -112,8 +108,10 @@ cat artifacts/report.oracle.txt
 echo "==> fork determinism gate (512-seed oracle via template forks, byte-compare vs fresh)"
 go test ./internal/sweep -run '^TestForkOracleSweep512$' -count=1
 
-echo "==> sequential determinism cross-check (64 seeds, reports + canonical metrics)"
+echo "==> sequential determinism cross-checks (oracle, guard, boot: reports + canonical metrics)"
 go run ./cmd/rchsweep -mode=oracle -seeds=64 -crosscheck
+go run ./cmd/rchsweep -mode=guard -seeds=128 -crosscheck
+go run ./cmd/rchsweep -mode=boot -seeds=5000 -crosscheck
 
 echo "==> guarded chaos sweep (1024 seeds, parallel engine)"
 go run ./cmd/rchsweep -mode=guard -seeds=1024 -trace-on-fail \
@@ -209,8 +207,5 @@ for field in '"p50_ms"' '"p95_ms"' '"p99_ms"' '"shed"' '"shed_rate"' \
 done
 grep -q '"replay_log_events_total"' artifacts/ci.replay.metrics.json \
     || { echo "ci: replay canonical metrics missing the log-derived counters" >&2; exit 1; }
-
-echo "==> sweep bench (quick)"
-scripts/bench.sh -quick -out artifacts/BENCH_sweep.quick.json -replay-out artifacts/BENCH_replay.quick.json
 
 echo "ci: all green"
